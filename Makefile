@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck race verify bench bench-all test-short test-cluster test-chaos smoke-service smoke-pipeline
+.PHONY: build test vet staticcheck race verify stress bench bench-all test-short test-cluster test-chaos smoke-service smoke-pipeline
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ race:
 	$(GO) test -race ./...
 
 verify: build vet staticcheck race
+
+# Flake hunt: the packages that run sockets, worker subprocesses and
+# fault injection, twenty times each under the race detector. A flaky
+# test shows up as a failure; nothing is retried.
+stress:
+	$(GO) test -race -count=20 -timeout 1500s ./internal/mr ./internal/cluster ./internal/chaos
 
 # Map-path benchmarks, published as BENCH_4.json (the baseline/default
 # sub-benchmark pairs become speedup + allocation-reduction rows), the

@@ -35,7 +35,7 @@ type WorkerOptions struct {
 	// listener — the chaos harness's injection point for connection
 	// drops, stalls, truncations, and bit-flips.
 	WrapListener func(net.Listener) net.Listener
-	// WireCompression negotiates Snappy compression on this worker's
+	// WireCompression requests Snappy compression on this worker's
 	// outbound shuffle connections. Transparent to job output; it trades
 	// CPU on both sides for bytes on the wire, which is the right trade
 	// whenever workers are not sharing a loopback.
@@ -97,9 +97,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	pool := mr.NewConnPool()
 	pool.WireCompression = opts.WireCompression
 	defer pool.Close()
-	// All segment fetches go through the multiplexer: concurrent slots
-	// pulling from the same peer share one connection and one batch.
-	fetcher := mr.NewMuxFetcher(pool)
 
 	var reg RegisterReply
 	if err := client.Call(ctx, "Cluster.Register", &RegisterArgs{DataAddr: srv.Addr(), Slots: opts.Slots}, &reg); err != nil {
@@ -112,7 +109,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 
 	w := &worker{
 		id: reg.WorkerID,
-		fs: fs, pool: pool, fetcher: fetcher, srv: srv, serveMeter: serveMeter,
+		fs: fs, pool: pool, srv: srv, serveMeter: serveMeter,
 		client:  client,
 		jobs:    make(map[int]*workerJob),
 		running: make(map[AttemptID]context.CancelFunc),
@@ -253,7 +250,6 @@ type worker struct {
 	id         int
 	fs         iokit.FS
 	pool       *mr.ConnPool
-	fetcher    *mr.MuxFetcher
 	srv        *mr.SegmentServer
 	serveMeter *iokit.Meter
 	client     *rpcClient
@@ -514,7 +510,7 @@ func (w *worker) stageSplit(ctx context.Context, wj *workerJob, l TaskLease, rep
 		return &mr.RecordFileSplit{FS: w.fs, Name: h.File}, nil
 	}
 	local := fmt.Sprintf("%s/handin/m%04d.a%d", wj.job.Workspace, l.MapTask, l.Attempt)
-	rc, size, err := w.fetcher.Fetch(ctx, h.Addr, h.File)
+	rc, size, err := w.pool.Fetch(ctx, h.Addr, h.File)
 	if err != nil {
 		rep.Unreachable = appendUnique(rep.Unreachable, h.Addr)
 		return nil, fmt.Errorf("cluster: fetching handoff %s from %s: %w", h.File, h.Addr, err)
@@ -567,7 +563,7 @@ func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *
 	}
 	for i, src := range l.Sources {
 		fst := time.Now()
-		rc, size, err := w.fetcher.Fetch(ctx, src.Addr, src.File)
+		rc, size, err := w.pool.Fetch(ctx, src.Addr, src.File)
 		if err != nil {
 			cleanup("")
 			rep.Unreachable = appendUnique(rep.Unreachable, src.Addr)

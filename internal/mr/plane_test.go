@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -10,16 +11,16 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/iokit"
 )
 
 // truncatingServer speaks just enough of the wire protocol to betray a
-// client: it completes the v2 handshake (granting no capabilities, so
-// the body is raw), answers the first request with a header advertising
-// the full size, writes only the first keep bytes of the body, and
-// slams the connection shut.
+// client: it answers the first request with a raw-body header
+// advertising the full size, writes only the first keep bytes of the
+// body, and slams the connection shut.
 func truncatingServer(t *testing.T, payload []byte, keep int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -33,18 +34,11 @@ func truncatingServer(t *testing.T, payload []byte, keep int) string {
 			return
 		}
 		defer conn.Close()
-		r := make([]byte, 3)
-		if _, err := io.ReadFull(conn, r); err != nil || r[0] != wireHello || r[1] != wireMagic {
-			return
-		}
-		conn.Write([]byte{wireMagicAck, 0}) // grant nothing: raw body, no mux
-		// Request frame: uvarint(len) + name. Names are short; one read
-		// suffices for a test client.
-		buf := make([]byte, 256)
-		if _, err := conn.Read(buf); err != nil {
+		if _, _, err := readRequest(bufio.NewReader(conn)); err != nil {
 			return
 		}
 		out := binary.AppendUvarint(nil, uint64(len(payload))+1)
+		out = append(out, encodingRaw)
 		out = append(out, payload[:keep]...)
 		conn.Write(out)
 	}()
@@ -127,7 +121,7 @@ func TestFetchZeroByteSegment(t *testing.T) {
 }
 
 // TestPooledReuseAfterErrorFrameCompressed: a server error frame on a
-// compression-negotiated connection leaves it at a frame boundary; the
+// compression-requesting connection leaves it at a frame boundary; the
 // subsequent fetch reuses it and decodes a compressed body correctly.
 func TestPooledReuseAfterErrorFrameCompressed(t *testing.T) {
 	fs := iokit.NewMemFS()
@@ -193,7 +187,7 @@ func TestConnPoolCloseRacesPut(t *testing.T) {
 	}
 }
 
-// TestWireCompressionRoundTrip: a compression-negotiated fetch delivers
+// TestWireCompressionRoundTrip: a compression-requesting fetch delivers
 // byte-identical data while moving fewer bytes on the wire, across
 // bodies spanning one unit, many units, and the don't-compress floor.
 func TestWireCompressionRoundTrip(t *testing.T) {
@@ -248,217 +242,119 @@ func TestWireCompressionRoundTrip(t *testing.T) {
 	}
 }
 
+// idleListener stands in for a listener whose connections are served
+// elsewhere: it reports the real address but never accepts.
+type idleListener struct {
+	addr net.Addr
+	once sync.Once
+	done chan struct{}
+}
+
+func (l *idleListener) Accept() (net.Conn, error) {
+	<-l.done
+	return nil, net.ErrClosed
+}
+
+func (l *idleListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *idleListener) Addr() net.Addr { return l.addr }
+
 // TestJobOverTCPShuffleCompressed: wire compression is invisible to the
-// job — output matches an uncompressed run key for key — while the wire
-// byte counters record the savings.
+// job — every case's output matches a local-transport run key for key —
+// and the shuffle meters agree across server, client and job. Raw bytes
+// served equal raw bytes fetched equal Stats.ShuffleBytes; wire bytes
+// served equal wire bytes fetched; and wire equals raw when nothing is
+// compressed. The cases cover the buffered (MemFS) and sendfile (OSFS)
+// raw bodies, compressed bodies, and many reducers fetching at once.
 func TestJobOverTCPShuffleCompressed(t *testing.T) {
-	mk := func(compress bool) *Job {
-		// No combiner: every emission crosses the shuffle, so segments
-		// are large enough to clear the compression floor.
-		job := wordCountJob(false)
-		job.TCPShuffle = true
-		job.WireCompression = compress
-		return job
-	}
-	var words strings.Builder
-	for i := 0; i < 4000; i++ {
-		fmt.Fprintf(&words, "word%05d ", i%1300)
-	}
-	input := lines(words.String())
-	plain, err := Run(mk(false), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compressed, err := Run(mk(true), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := outputMap(t, compressed), outputMap(t, plain)
-	if len(got) != len(want) {
-		t.Fatalf("key count: compressed %d, plain %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("key %q: compressed %q, plain %q", k, got[k], v)
+	// No combiner: every emission crosses the shuffle, so segments clear
+	// the compression floor, and at three reducers outgrow the first
+	// coalesced chunk, so the OSFS case reaches sendfile.
+	const wordsPerSplit = 25000
+	var input []Split
+	for s := 0; s < 4; s++ {
+		var words strings.Builder
+		for i := s * wordsPerSplit; i < (s+1)*wordsPerSplit; i++ {
+			fmt.Fprintf(&words, "word%05d ", i%1300)
 		}
+		input = append(input, lines(words.String())...)
 	}
-	raw := compressed.Stats.Extra[CounterShuffleRawBytes]
-	wire := compressed.Stats.Extra[CounterShuffleWireBytes]
-	if raw == 0 || wire == 0 || wire >= raw {
-		t.Errorf("compressed run counters: raw %d, wire %d; want 0 < wire < raw", raw, wire)
+	memFS := func(*testing.T) iokit.FS { return iokit.NewMemFS() }
+	osFS := func(t *testing.T) iokit.FS { return iokit.NewOSFS(t.TempDir()) }
+	cases := []struct {
+		name        string
+		fs          func(*testing.T) iokit.FS
+		compress    bool
+		parallelism int
+		reducers    int
+	}{
+		{"raw-memfs", memFS, false, 1, 3},
+		{"sendfile-osfs", osFS, false, 1, 3},
+		{"compressed-memfs", memFS, true, 1, 3},
+		{"concurrent-raw", memFS, false, 8, 8},
+		{"concurrent-compressed", memFS, true, 8, 8},
 	}
-	if praw, pwire := plain.Stats.Extra[CounterShuffleRawBytes], plain.Stats.Extra[CounterShuffleWireBytes]; praw != pwire {
-		t.Errorf("plain run moved %d wire bytes for %d raw; want equal", pwire, praw)
-	}
-}
-
-// muxTestServer stands up a MemFS-backed segment server plus a pool and
-// fetcher, with distinct per-segment contents sized to span several
-// window grants.
-func muxTestServer(t testing.TB, n, size int, compress bool) (*SegmentServer, *MuxFetcher, map[string][]byte) {
-	t.Helper()
-	fs := iokit.NewMemFS()
-	bodies := make(map[string][]byte, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("mux/seg%02d", i)
-		pat := fmt.Sprintf("segment %02d payload ", i)
-		body := bytes.Repeat([]byte(pat), size/len(pat)+1)[:size]
-		bodies[name] = body
-		w, _ := fs.Create(name)
-		w.Write(body)
-		w.Close()
-	}
-	srv, err := NewSegmentServer(fs, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	pool := NewConnPool()
-	pool.WireCompression = compress
-	t.Cleanup(func() { pool.Close() })
-	return srv, NewMuxFetcher(pool), bodies
-}
-
-// TestMuxBatchDelivers drives runMux directly — a deterministic batch
-// of every segment on one session — and checks each stream returns its
-// exact body, including a zero-byte member, with wire accounting.
-func TestMuxBatchDelivers(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		srv, m, bodies := muxTestServer(t, 6, int(muxWindow)*2+123, compress)
-		w, _ := srv.fs.(*iokit.MemFS).Create("mux/empty")
-		w.Close()
-		bodies["mux/empty"] = nil
-
-		var names []string
-		for name := range bodies {
-			names = append(names, name)
-		}
-		reqs := make([]*muxReq, len(names))
-		for i, name := range names {
-			reqs[i] = &muxReq{ctx: context.Background(), name: name, res: make(chan muxRes, 1)}
-		}
-		go m.runMux(srv.Addr(), reqs)
-		for i, r := range reqs {
-			res := <-r.res
-			if res.fallback || res.err != nil {
-				t.Fatalf("compress=%v stream %s: fallback=%v err=%v", compress, names[i], res.fallback, res.err)
-			}
-			got, err := io.ReadAll(res.rc)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := wordCountJob(false)
+			ref.NumReduceTasks = tc.reducers
+			want, err := Run(ref, input)
 			if err != nil {
-				t.Fatalf("compress=%v stream %s: %v", compress, names[i], err)
-			}
-			if !bytes.Equal(got, bodies[names[i]]) {
-				t.Fatalf("compress=%v stream %s: body mismatch (%d bytes)", compress, names[i], len(got))
-			}
-			wire, ok := WireBytes(res.rc)
-			if !ok {
-				t.Fatalf("compress=%v: mux stream should report wire bytes", compress)
-			}
-			if compress && res.size >= wireCompressMin && wire >= res.size {
-				t.Errorf("compress=%v stream %s: wire %d, want < raw %d", compress, names[i], wire, res.size)
-			}
-			res.rc.Close()
-		}
-		if m.Sessions() != 1 || m.Muxed() != int64(len(names)) {
-			t.Errorf("compress=%v: sessions=%d muxed=%d, want 1/%d", compress, m.Sessions(), m.Muxed(), len(names))
-		}
-	}
-}
-
-// TestMuxBatchStreamError: a missing segment inside a batch fails only
-// its own stream — the siblings deliver, and the session still winds
-// down cleanly enough to pool the connection (next fetch, no new dial).
-func TestMuxBatchStreamError(t *testing.T) {
-	srv, m, bodies := muxTestServer(t, 3, 8<<10, false)
-	names := []string{"mux/seg00", "mux/nope", "mux/seg02"}
-	reqs := make([]*muxReq, len(names))
-	for i, name := range names {
-		reqs[i] = &muxReq{ctx: context.Background(), name: name, res: make(chan muxRes, 1)}
-	}
-	go m.runMux(srv.Addr(), reqs)
-	for i, r := range reqs {
-		res := <-r.res
-		if names[i] == "mux/nope" {
-			if res.err == nil || res.fallback {
-				t.Fatalf("missing segment: err=%v fallback=%v", res.err, res.fallback)
-			}
-			continue
-		}
-		if res.err != nil || res.fallback {
-			t.Fatalf("stream %s: err=%v fallback=%v", names[i], res.err, res.fallback)
-		}
-		got, _ := io.ReadAll(res.rc)
-		res.rc.Close()
-		if !bytes.Equal(got, bodies[names[i]]) {
-			t.Fatalf("stream %s: body mismatch", names[i])
-		}
-	}
-	dials := m.pool.Dials()
-	rc, _, err := m.pool.Fetch(context.Background(), srv.Addr(), "mux/seg00")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, rc)
-	rc.Close()
-	if d := m.pool.Dials(); d != dials {
-		t.Errorf("post-batch fetch dialed (total %d, was %d); session should have pooled its conn", d, dials)
-	}
-}
-
-// TestMuxFetcherConcurrent: the public Fetch path under a concurrent
-// burst — every body arrives intact, and the group-commit dispatcher
-// coalesces at least one burst into a multiplexed session.
-func TestMuxFetcherConcurrent(t *testing.T) {
-	srv, m, bodies := muxTestServer(t, 8, 64<<10, false)
-	var names []string
-	for name := range bodies {
-		names = append(names, name)
-	}
-	for round := 0; round < 20 && m.Sessions() == 0; round++ {
-		errs := make(chan error, 2*len(names))
-		for i := 0; i < 2*len(names); i++ {
-			name := names[i%len(names)]
-			go func() {
-				rc, size, err := m.Fetch(context.Background(), srv.Addr(), name)
-				if err != nil {
-					errs <- err
-					return
-				}
-				got, err := io.ReadAll(rc)
-				rc.Close()
-				if err == nil && (int64(len(got)) != size || !bytes.Equal(got, bodies[name])) {
-					err = fmt.Errorf("body mismatch for %s", name)
-				}
-				errs <- err
-			}()
-		}
-		for i := 0; i < 2*len(names); i++ {
-			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if m.Sessions() == 0 {
-		t.Error("20 concurrent bursts never coalesced into a mux session")
-	}
-	t.Logf("sessions=%d muxed=%d dials=%d", m.Sessions(), m.Muxed(), m.pool.Dials())
-}
 
-// TestMuxFetcherSingleUsesSequentialPath: a lone fetch gains nothing
-// from mux framing and must ride the plain pooled exchange.
-func TestMuxFetcherSingleUsesSequentialPath(t *testing.T) {
-	srv, m, bodies := muxTestServer(t, 1, 4<<10, false)
-	rc, _, err := m.Fetch(context.Background(), srv.Addr(), "mux/seg00")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(rc)
-	rc.Close()
-	if !bytes.Equal(got, bodies["mux/seg00"]) {
-		t.Fatal("body mismatch")
-	}
-	if m.Muxed() != 0 {
-		t.Errorf("single fetch muxed %d streams, want 0", m.Muxed())
+			job := wordCountJob(false)
+			job.NumReduceTasks = tc.reducers
+			job.Parallelism = tc.parallelism
+			job.FS = tc.fs(t)
+			job.TCPShuffle = true
+			job.WireCompression = tc.compress
+			// Serve the job's shuffle from a server this test owns, on the
+			// job's own listener, so its meters can be read after the run.
+			// It serves the unmetered job FS, which keeps OSFS files raw
+			// and so reaches the sendfile path.
+			var srv *SegmentServer
+			job.WrapShuffleListener = func(ln net.Listener) net.Listener {
+				srv = NewSegmentServerOn(job.FS, ln, nil)
+				return &idleListener{addr: ln.Addr(), done: make(chan struct{})}
+			}
+			got, err := Run(job, input)
+			if srv != nil {
+				srv.Close() // waits for handlers, so the meters are final
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotOut, wantOut := outputMap(t, got), outputMap(t, want)
+			if len(gotOut) != len(wantOut) {
+				t.Fatalf("key count: tcp %d, local %d", len(gotOut), len(wantOut))
+			}
+			for k, v := range wantOut {
+				if gotOut[k] != v {
+					t.Errorf("key %q: tcp %q, local %q", k, gotOut[k], v)
+				}
+			}
+
+			raw := got.Stats.Extra[CounterShuffleRawBytes]
+			wire := got.Stats.Extra[CounterShuffleWireBytes]
+			if raw == 0 || raw != srv.ServedBytes() || raw != got.Stats.ShuffleBytes {
+				t.Errorf("raw bytes: served %d, fetched %d, Stats.ShuffleBytes %d; want all equal and > 0",
+					srv.ServedBytes(), raw, got.Stats.ShuffleBytes)
+			}
+			if wire != srv.ServedWireBytes() {
+				t.Errorf("wire bytes: served %d, fetched %d; want equal", srv.ServedWireBytes(), wire)
+			}
+			if tc.compress {
+				if wire == 0 || wire >= raw {
+					t.Errorf("compressed: raw %d, wire %d; want 0 < wire < raw", raw, wire)
+				}
+			} else if wire != raw {
+				t.Errorf("uncompressed: moved %d wire bytes for %d raw; want equal", wire, raw)
+			}
+		})
 	}
 }
 
@@ -519,9 +415,9 @@ func BenchmarkShuffleDataPlane(b *testing.B) {
 	b.Run("compressed-memfs", func(b *testing.B) { bench(b, iokit.NewMemFS(), true) })
 	b.Run("compressed-osfs", func(b *testing.B) { bench(b, iokit.NewOSFS(b.TempDir()), true) })
 
-	// The multiplexed plane: eight concurrent streams batched onto
-	// shared sessions instead of eight sequential exchanges.
-	b.Run("mux-8way-memfs", func(b *testing.B) {
+	// Eight concurrent 1 MiB fetches from one server, each a pooled
+	// request/response exchange on its own connection.
+	b.Run("pooled-8way-memfs", func(b *testing.B) {
 		const nSeg = 8
 		fs := iokit.NewMemFS()
 		var names []string
@@ -537,17 +433,19 @@ func BenchmarkShuffleDataPlane(b *testing.B) {
 		defer srv.Close()
 		pool := NewConnPool()
 		defer pool.Close()
-		m := NewMuxFetcher(pool)
 		b.SetBytes(segSize)
 		b.ResetTimer()
+		var wire atomic.Int64
 		for i := 0; i < b.N; i++ {
 			errs := make(chan error, nSeg)
 			for _, name := range names {
-				name := name
 				go func() {
-					rc, _, err := m.Fetch(context.Background(), srv.Addr(), name)
+					rc, _, err := pool.Fetch(context.Background(), srv.Addr(), name)
 					if err == nil {
 						_, err = io.Copy(io.Discard, rc)
+						if w, ok := WireBytes(rc); ok {
+							wire.Add(w)
+						}
 						rc.Close()
 					}
 					errs <- err
@@ -559,6 +457,6 @@ func BenchmarkShuffleDataPlane(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(m.Muxed())/float64(m.Sessions()+1), "streams/session")
+		b.ReportMetric(float64(wire.Load())/float64(b.N), "wireB/op")
 	})
 }

@@ -125,7 +125,7 @@ func putCopyBuf(job *Job, b []byte) {
 }
 
 // frameBufPool recycles the transport's length-prefixed frame buffers
-// (request names, error strings) so every fetch handshake stops paying
+// (request names, error strings) so every fetch exchange stops paying
 // a per-frame allocation. Frames are small (≤ maxErrFrame) and their
 // contents are always copied into a string before release.
 var frameBufPool sync.Pool // *[]byte

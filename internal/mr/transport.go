@@ -52,36 +52,27 @@ func (LocalTransport) Fetch(ctx context.Context, fs iokit.FS, name string) (io.R
 // Close implements Transport.
 func (LocalTransport) Close() error { return nil }
 
-// Wire protocol. The base frame shapes are v1's: the client sends a
-// uvarint-length-prefixed file name, the server answers uvarint(size+1)
-// then the body, or uvarint(0) plus a length-prefixed error string.
+// Wire protocol. A persistent connection carries a sequence of
+// request/response exchanges, one at a time:
 //
-// v2 adds a capability handshake without costing a round trip. Names
-// are never empty, so a first byte of 0x00 can never start a legal v1
-// request; v2 clients use it as a control escape. At connect the client
-// pipelines a hello — 0x00, wireMagic, caps — in the same write as its
-// first request, and reads the server's two-byte ack (wireMagicAck,
-// granted caps) before the first response header. Every later frame
-// beginning 0x00 is a control frame (today: a mux batch open, mux.go).
-// A v2 server that never sees a hello serves the connection as pure v1,
-// which is the compatibility fallback for old clients.
+//	request  := uvarint(len) name flags
+//	response := uvarint(size+1) enc body
+//	          | uvarint(0) uvarint(len) errmsg   // size+1: 0 means error
 //
-// Negotiable capabilities:
+// flags is one byte; flagCompress asks for a Snappy-compressed body. A
+// request with flag bits the server does not know is malformed, and the
+// server drops the connection. enc says how the body is encoded:
+// encodingRaw is the size bytes verbatim; encodingSnappy is a sequence
+// of uvarint(len)-prefixed Snappy blocks that decode to exactly size raw
+// bytes, so the body needs no terminator. Bodies below wireCompressMin
+// are always raw.
 //
-//   - capCompress: response bodies may be Snappy-compressed. The
-//     response header gains one encoding byte after the size, and a
-//     compressed body is a sequence of uvarint(len)-prefixed Snappy
-//     blocks that decode to exactly the advertised raw size.
-//   - capMux: the client may multiplex many segment requests onto the
-//     connection as one batch with per-stream flow control (mux.go).
+// Wire bytes are the body bytes written after the response header: the
+// raw bytes for a raw body, the Snappy units with their uvarint length
+// prefixes for a compressed one. Server and client count them the same
+// way (ServedWireBytes, CounterShuffleWireBytes).
 const (
-	wireHello    = 0x00
-	wireMagic    = 0xA5
-	wireMagicAck = 0x5A
-
-	capCompress = 0x01
-	capMux      = 0x02
-	serverCaps  = capCompress | capMux
+	flagCompress = 0x01
 
 	encodingRaw    = 0x00
 	encodingSnappy = 0x01
@@ -90,8 +81,8 @@ const (
 	// the encoding byte says raw and the body is verbatim.
 	wireCompressMin = 512
 
-	// wireChunk is the body chunk size: the unit of compression, of mux
-	// DATA frames, and of the coalesced header+first-bytes write.
+	// wireChunk is the body chunk size: the unit of compression and of
+	// the coalesced header+first-bytes write.
 	wireChunk = copyBufSize
 
 	// maxWireUnit bounds one compressed unit: a wireChunk of
@@ -156,9 +147,9 @@ func (s *SegmentServer) Addr() string { return s.ln.Addr().String() }
 // ServedBytes reports the total raw payload bytes served to clients.
 func (s *SegmentServer) ServedBytes() int64 { return s.served.Load() }
 
-// ServedWireBytes reports the body bytes actually written to sockets;
-// on compression-negotiated connections this is the post-Snappy count,
-// so ServedBytes-ServedWireBytes is the shuffle traffic saved.
+// ServedWireBytes reports the wire bytes written to sockets (see the
+// wire protocol above); for compressed bodies this is the post-Snappy
+// count, so ServedBytes-ServedWireBytes is the shuffle traffic saved.
 func (s *SegmentServer) ServedWireBytes() int64 { return s.servedWire.Load() }
 
 // count post-counts one served body: raw payload bytes and the bytes
@@ -212,57 +203,39 @@ func (s *SegmentServer) serve() {
 // bytes it reads ahead stay on this connection's frame stream.
 func (s *SegmentServer) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
-	var caps byte
 	for {
-		b0, err := br.ReadByte()
+		name, flags, err := readRequest(br)
 		if err != nil {
-			return // client done (EOF) or dead
+			return // client done (EOF), dead, or malformed
 		}
-		if b0 == wireHello {
-			ctrl, err := br.ReadByte()
-			if err != nil {
-				return
-			}
-			switch ctrl {
-			case wireMagic:
-				want, err := br.ReadByte()
-				if err != nil {
-					return
-				}
-				caps = want & serverCaps
-				if _, err := conn.Write([]byte{wireMagicAck, caps}); err != nil {
-					return
-				}
-			case ctrlBatch:
-				if caps&capMux == 0 {
-					return // batch frame without negotiating mux
-				}
-				if !s.handleBatch(conn, br, caps) {
-					return
-				}
-			default:
-				return // unknown control frame
-			}
-			continue
-		}
-		if err := br.UnreadByte(); err != nil {
-			return
-		}
-		nameBuf, err := readLenPrefixed(br, maxNameFrame)
-		if err != nil {
-			return
-		}
-		name := string(nameBuf)
-		putFrameBuf(nameBuf)
-		if !s.handleOne(conn, name, caps) {
+		if !s.handleOne(conn, name, flags) {
 			return
 		}
 	}
 }
 
+// readRequest parses one request frame: a length-prefixed name and the
+// flag byte.
+func readRequest(r frameReader) (string, byte, error) {
+	nameBuf, err := readLenPrefixed(r, maxNameFrame)
+	if err != nil {
+		return "", 0, err
+	}
+	name := string(nameBuf)
+	putFrameBuf(nameBuf)
+	flags, err := r.ReadByte()
+	if err != nil {
+		return "", 0, err
+	}
+	if flags&^flagCompress != 0 {
+		return "", 0, fmt.Errorf("mr: request flags 0x%02x carry unknown bits", flags)
+	}
+	return name, flags, nil
+}
+
 // handleOne answers a single request; it reports whether the connection
 // is still at a clean frame boundary and may serve another.
-func (s *SegmentServer) handleOne(conn net.Conn, name string, caps byte) bool {
+func (s *SegmentServer) handleOne(conn net.Conn, name string, flags byte) bool {
 	size, err := s.fs.Size(name)
 	if err != nil {
 		return writeError(conn, err)
@@ -272,23 +245,21 @@ func (s *SegmentServer) handleOne(conn net.Conn, name string, caps byte) bool {
 		return writeError(conn, err)
 	}
 	defer f.Close()
-	if caps&capCompress != 0 && size >= wireCompressMin {
+	if flags&flagCompress != 0 && size >= wireCompressMin {
 		return s.sendCompressed(conn, f, size)
 	}
-	return s.sendRaw(conn, f, size, caps)
+	return s.sendRaw(conn, f, size)
 }
 
 // sendRaw streams a body verbatim. The response header and the first
 // body chunk are coalesced into one write, so small segments cost a
 // single send instead of a header packet plus a body packet; the rest
 // of an OS-backed file is spliced with sendfile.
-func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64, caps byte) bool {
+func (s *SegmentServer) sendRaw(conn net.Conn, f io.ReadCloser, size int64) bool {
 	buf := getCopyBuf(nil)
 	defer putCopyBuf(nil, buf)
 	hdr := binary.AppendUvarint(buf[:0], uint64(size)+1) // size+1: 0 means error
-	if caps&capCompress != 0 {
-		hdr = append(hdr, encodingRaw)
-	}
+	hdr = append(hdr, encodingRaw)
 	first := int64(len(buf) - len(hdr))
 	if first > size {
 		first = size
@@ -469,10 +440,7 @@ const (
 // whose body is fully consumed returns its connection for reuse, and
 // idle connections past IdleTimeout are discarded on next use. Pooling
 // matters on multi-reduce jobs: without it every (partition, map task)
-// segment fetch pays a fresh TCP dial to the same few servers — and
-// with protocol v2 a pooled connection also keeps its negotiated
-// capabilities, so the handshake is paid once per connection, not per
-// fetch.
+// segment fetch pays a fresh TCP dial to the same few servers.
 type ConnPool struct {
 	// IdleTimeout discards pooled connections idle longer than this.
 	// Defaults to 30s.
@@ -480,9 +448,9 @@ type ConnPool struct {
 	// MaxIdlePerHost caps pooled connections per server address.
 	// Defaults to 8.
 	MaxIdlePerHost int
-	// WireCompression requests Snappy-compressed bodies during the
-	// connection handshake. Transparent to callers: fetch readers always
-	// yield raw bytes; only the bytes on the wire change.
+	// WireCompression requests Snappy-compressed bodies in every fetch
+	// request. Transparent to callers: fetch readers always yield raw
+	// bytes; only the bytes on the wire change.
 	WireCompression bool
 
 	dials atomic.Int64
@@ -492,14 +460,11 @@ type ConnPool struct {
 	closed bool
 }
 
-// wireConn is a pooled client connection plus its negotiated state: the
-// connection-lifetime buffered reader every response is parsed through,
-// and the capability set agreed at handshake.
+// wireConn is a pooled client connection plus the connection-lifetime
+// buffered reader every response is parsed through.
 type wireConn struct {
-	conn       net.Conn
-	br         *bufio.Reader
-	caps       byte
-	handshaken bool
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 type pooledConn struct {
@@ -529,15 +494,6 @@ func (p *ConnPool) maxIdle() int {
 		return p.MaxIdlePerHost
 	}
 	return 8
-}
-
-// clientCaps is what this pool asks for in a hello frame.
-func (p *ConnPool) clientCaps() byte {
-	caps := byte(capMux)
-	if p.WireCompression {
-		caps |= capCompress
-	}
-	return caps
 }
 
 // get returns a pooled connection to addr, or dials a fresh one. fresh
@@ -637,21 +593,6 @@ func (p *ConnPool) Fetch(ctx context.Context, addr, name string) (io.ReadCloser,
 		name, addr, fetchAttempts, lastErr)
 }
 
-// readAck consumes the server's two-byte handshake ack and records the
-// granted capabilities on the connection.
-func (wc *wireConn) readAck(want byte) error {
-	var ack [2]byte
-	if _, err := io.ReadFull(wc.br, ack[:]); err != nil {
-		return err
-	}
-	if ack[0] != wireMagicAck {
-		return fmt.Errorf("mr: bad handshake ack 0x%02x", ack[0])
-	}
-	wc.caps = ack[1] & want
-	wc.handshaken = true
-	return nil
-}
-
 // fetchOnce performs a single fetch exchange. retryable reports whether
 // the failure happened at the connection level (before a valid response
 // header), where a retry may see a healthy connection.
@@ -672,22 +613,15 @@ func (p *ConnPool) fetchOnce(ctx context.Context, addr, name string, fresh bool)
 		}
 		return nil, 0, err, retryable
 	}
-	// A fresh connection pipelines the hello with the request in one
-	// write; the handshake costs no extra round trip.
-	var req []byte
-	want := p.clientCaps()
-	if !wc.handshaken {
-		req = append(req, wireHello, wireMagic, want)
+	var flags byte
+	if p.WireCompression {
+		flags = flagCompress
 	}
-	req = binary.AppendUvarint(req, uint64(len(name)))
+	req := binary.AppendUvarint(nil, uint64(len(name)))
 	req = append(req, name...)
+	req = append(req, flags)
 	if _, err := conn.Write(req); err != nil {
 		return fail(err, true)
-	}
-	if !wc.handshaken {
-		if err := wc.readAck(want); err != nil {
-			return fail(err, true)
-		}
 	}
 	sizePlus, err := binary.ReadUvarint(wc.br)
 	if err != nil {
@@ -707,19 +641,17 @@ func (p *ConnPool) fetchOnce(ctx context.Context, addr, name string, fresh bool)
 		return nil, 0, ferr, false
 	}
 	size = int64(sizePlus - 1)
+	enc, err := wc.br.ReadByte()
+	if err != nil {
+		return fail(err, true)
+	}
 	fr := &fetchReader{pool: p, addr: addr, wc: wc, ctx: ctx, stop: stop, size: size, remaining: size}
-	if wc.caps&capCompress != 0 {
-		enc, err := wc.br.ReadByte()
-		if err != nil {
-			return fail(err, true)
-		}
-		switch enc {
-		case encodingRaw:
-		case encodingSnappy:
-			fr.dec = &snappyUnitReader{br: wc.br, remaining: size}
-		default:
-			return fail(fmt.Errorf("mr: unknown body encoding 0x%02x", enc), true)
-		}
+	switch enc {
+	case encodingRaw:
+	case encodingSnappy:
+		fr.dec = &snappyUnitReader{br: wc.br, remaining: size}
+	default:
+		return fail(fmt.Errorf("mr: unknown body encoding 0x%02x", enc), true)
 	}
 	return fr, size, nil, false
 }
@@ -812,6 +744,12 @@ func (f *fetchReader) Read(p []byte) (int, error) {
 	if f.remaining <= 0 {
 		return 0, io.EOF
 	}
+	// Cancellation closes the connection asynchronously, and bytes
+	// already buffered would still read; checking first makes every
+	// Read after cancel fail, however much of the body is in flight.
+	if err := f.ctx.Err(); err != nil {
+		return 0, err
+	}
 	if int64(len(p)) > f.remaining {
 		p = p[:f.remaining]
 	}
@@ -839,9 +777,9 @@ func (f *fetchReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// WireBytes reports the socket bytes consumed for the body so far: the
-// raw count for uncompressed fetches, the framed compressed count
-// otherwise. Meaningful once the body is fully read.
+// WireBytes reports the wire bytes consumed for the body so far: the
+// raw count for a raw body, the Snappy units with their length prefixes
+// for a compressed one. Meaningful once the body is fully read.
 func (f *fetchReader) WireBytes() int64 {
 	if f.dec != nil {
 		return f.dec.wire
@@ -863,9 +801,9 @@ func (f *fetchReader) Close() error {
 }
 
 // WireBytes reports the bytes a fetched body occupied on the network,
-// when rc came from a wire transport that tracks them (pooled and
-// multiplexed fetch readers do). Callers feed this into the shuffle
-// wire counters next to the raw size.
+// when rc came from a wire transport that tracks them (pooled fetch
+// readers do). Callers feed this into the shuffle wire counters next to
+// the raw size.
 func WireBytes(rc io.ReadCloser) (int64, bool) {
 	if w, ok := rc.(interface{ WireBytes() int64 }); ok {
 		return w.WireBytes(), true
@@ -874,7 +812,7 @@ func WireBytes(rc io.ReadCloser) (int64, bool) {
 }
 
 // Extra counters for the shuffle wire: raw body bytes fetched versus
-// bytes those bodies occupied on the wire. With compression negotiated
+// bytes those bodies occupied on the wire. With compression requested
 // the wire count drops below raw; without it they match.
 const (
 	CounterShuffleRawBytes  = "mr.shuffleRawBytes"
@@ -894,12 +832,10 @@ func countWireBytes(counters *Counters, rc io.ReadCloser, raw int64) {
 }
 
 // TCPTransport is the single-process shuffle-over-sockets transport: a
-// SegmentServer on loopback plus a pooled, multiplexing client fetching
-// from it.
+// SegmentServer on loopback plus a pooled client fetching from it.
 type TCPTransport struct {
 	srv  *SegmentServer
 	pool *ConnPool
-	mux  *MuxFetcher
 }
 
 // NewTCPTransport starts a loopback listener serving fs.
@@ -909,7 +845,7 @@ func NewTCPTransport(fs iokit.FS) (*TCPTransport, error) {
 
 // newTCPTransport starts the loopback transport, optionally wrapping
 // the listener (Job.WrapShuffleListener — the chaos harness's
-// data-plane injection point) and negotiating wire compression
+// data-plane injection point) and requesting wire compression
 // (Job.WireCompression).
 func newTCPTransport(fs iokit.FS, wrap func(net.Listener) net.Listener, compress bool) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -921,7 +857,7 @@ func newTCPTransport(fs iokit.FS, wrap func(net.Listener) net.Listener, compress
 	}
 	pool := NewConnPool()
 	pool.WireCompression = compress
-	return &TCPTransport{srv: NewSegmentServerOn(fs, ln, nil), pool: pool, mux: NewMuxFetcher(pool)}, nil
+	return &TCPTransport{srv: NewSegmentServerOn(fs, ln, nil), pool: pool}, nil
 }
 
 // Addr reports the listener address (tests and diagnostics).
@@ -931,10 +867,9 @@ func (t *TCPTransport) Addr() string { return t.srv.Addr() }
 func (t *TCPTransport) Dials() int64 { return t.pool.Dials() }
 
 // Fetch implements Transport: it requests the segment from the loopback
-// server over a pooled socket, riding a multiplexed batch when other
-// fetches to the server are in flight.
+// server over a pooled socket.
 func (t *TCPTransport) Fetch(ctx context.Context, _ iokit.FS, name string) (io.ReadCloser, int64, error) {
-	return t.mux.Fetch(ctx, t.srv.Addr(), name)
+	return t.pool.Fetch(ctx, t.srv.Addr(), name)
 }
 
 // Close implements Transport: discards pooled connections, stops the

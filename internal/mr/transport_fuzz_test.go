@@ -49,7 +49,7 @@ func FuzzReadLenPrefixed(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip drives full request/response handshakes with
+// FuzzFrameRoundTrip drives full request/response exchanges with
 // fuzzed segment names and payloads through an in-memory pipe,
 // asserting the framing layer reproduces both sides byte-for-byte and
 // rejects (rather than mangles) names over the frame limit.
@@ -61,20 +61,24 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add("jobs/m0001/out.p0003", bytes.Repeat([]byte{0xab}, 4096))
 
 	f.Fuzz(func(t *testing.T, name string, payload []byte) {
-		// Request frame: uvarint(len(name)) + name, as fetchOnce writes it.
-		req := binary.AppendUvarint(nil, uint64(len(name)))
-		req = append(req, name...)
-		got, err := readLenPrefixed(bytes.NewReader(req), maxNameFrame)
-		if len(name) > maxNameFrame {
-			if err == nil {
-				t.Fatalf("name of %d bytes accepted past the %d cap", len(name), maxNameFrame)
+		// Request frame: uvarint(len(name)) + name + flags, as fetchOnce
+		// writes it, under each flag value.
+		for _, flags := range []byte{0, flagCompress} {
+			req := binary.AppendUvarint(nil, uint64(len(name)))
+			req = append(req, name...)
+			req = append(req, flags)
+			got, gotFlags, err := readRequest(bytes.NewReader(req))
+			if len(name) > maxNameFrame {
+				if err == nil {
+					t.Fatalf("name of %d bytes accepted past the %d cap", len(name), maxNameFrame)
+				}
+				continue
 			}
-		} else {
 			if err != nil {
 				t.Fatalf("round-tripping %d-byte name: %v", len(name), err)
 			}
-			if string(got) != name {
-				t.Fatal("name mangled in round trip")
+			if got != name || gotFlags != flags {
+				t.Fatalf("request mangled in round trip: flags 0x%02x, want 0x%02x", gotFlags, flags)
 			}
 		}
 
@@ -100,13 +104,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatal("error message mangled in round trip")
 		}
 
-		// Response header + body: uvarint(size+1) + payload.
+		// Response header + body: uvarint(size+1) + encoding + payload.
 		resp := binary.AppendUvarint(nil, uint64(len(payload))+1)
+		resp = append(resp, encodingRaw)
 		resp = append(resp, payload...)
 		rbr := &byteReader{r: bytes.NewReader(resp)}
 		sizePlus, err := binary.ReadUvarint(rbr)
 		if err != nil || sizePlus == 0 {
 			t.Fatalf("response header: %d, %v", sizePlus, err)
+		}
+		if enc, err := rbr.ReadByte(); err != nil || enc != encodingRaw {
+			t.Fatalf("response encoding: 0x%02x, %v", enc, err)
 		}
 		body := make([]byte, sizePlus-1)
 		if _, err := io.ReadFull(rbr.r, body); err != nil {
@@ -131,12 +139,18 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 // fuzzConn presents a byte slice as the read side of a net.Conn and
-// swallows writes, so server connection handlers can be driven with
-// hostile input without a socket.
-type fuzzConn struct{ r io.Reader }
+// counts but swallows writes, so server connection handlers can be
+// driven with hostile input without a socket.
+type fuzzConn struct {
+	r       io.Reader
+	written int
+}
 
-func (c *fuzzConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
-func (c *fuzzConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *fuzzConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c *fuzzConn) Write(p []byte) (int, error) {
+	c.written += len(p)
+	return len(p), nil
+}
 func (c *fuzzConn) Close() error                { return nil }
 func (c *fuzzConn) LocalAddr() net.Addr         { return fuzzAddr{} }
 func (c *fuzzConn) RemoteAddr() net.Addr        { return fuzzAddr{} }
@@ -153,37 +167,25 @@ type fuzzAddr struct{}
 func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
-// FuzzServerConn feeds arbitrary byte streams — hostile hellos, mangled
-// capability negotiation, malformed batch-open and grant frames —
-// straight into the server's per-connection loop. The server must
-// always return (EOF terminates every read path) and never panic, no
-// matter how the negotiation or multiplex framing is corrupted.
+// FuzzServerConn feeds arbitrary byte streams — mangled request
+// frames, unknown flag bits, oversized names, truncated headers, and the
+// capability hello of the retired protocol — straight into the server's
+// per-connection loop. The server must always return (EOF terminates
+// every read path) and never panic. It must answer a well-formed first
+// request and write nothing for a malformed one.
 func FuzzServerConn(f *testing.F) {
-	// A clean v1 request, no hello.
-	req := binary.AppendUvarint(nil, 3)
-	req = append(req, "seg"...)
-	f.Add(req)
-	// Hello negotiating everything, then the same request.
-	f.Add(append([]byte{wireHello, wireMagic, serverCaps}, req...))
-	// Hello, then a batch of two streams with a legal window and a
-	// couple of grants plus the final ack.
-	batch := []byte{wireHello, wireMagic, serverCaps, wireHello, ctrlBatch}
-	batch = binary.AppendUvarint(batch, 2)
-	batch = binary.AppendUvarint(batch, wireChunk)
-	for _, name := range []string{"seg", "z"} {
-		batch = binary.AppendUvarint(batch, uint64(len(name)))
-		batch = append(batch, name...)
+	request := func(name string, flags byte) []byte {
+		req := binary.AppendUvarint(nil, uint64(len(name)))
+		req = append(req, name...)
+		return append(req, flags)
 	}
-	batch = binary.AppendUvarint(batch, 0) // grant: stream 0
-	batch = binary.AppendUvarint(batch, wireChunk)
-	batch = binary.AppendUvarint(batch, 2) // final ack: idx == count
-	batch = binary.AppendUvarint(batch, 0)
-	f.Add(batch)
-	// Batch frame without negotiating mux first; undersized window;
-	// unknown control byte.
-	f.Add([]byte{wireHello, ctrlBatch, 2, 1})
-	f.Add([]byte{wireHello, wireMagic, serverCaps, wireHello, ctrlBatch, 1, 1})
-	f.Add([]byte{wireHello, 0xEE})
+	f.Add(request("seg", 0))                                           // raw body
+	f.Add(request("seg", flagCompress))                                // compressed body
+	f.Add(request("seg", 0x02))                                        // unknown flag bit
+	f.Add(append(binary.AppendUvarint(nil, maxNameFrame+1), "seg"...)) // oversized name
+	f.Add(request("seg", 0)[:4])                                       // header cut before the flags
+	f.Add(append([]byte{0x00, 0xA5, 0x03}, request("seg", 0)...))      // retired hello
+	f.Add(append(append(request("z", 0), request("nope", 0)...), request("seg", flagCompress)...))
 
 	fs := iokit.NewMemFS()
 	w, _ := fs.Create("seg")
@@ -194,8 +196,23 @@ func FuzzServerConn(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &SegmentServer{fs: fs}
-		s.handleConn(&fuzzConn{r: bytes.NewReader(data)})
+		conn := &fuzzConn{r: bytes.NewReader(data)}
+		s.handleConn(conn)
+		if wellFormed := firstRequestWellFormed(data); wellFormed != (conn.written > 0) {
+			t.Fatalf("first request well-formed=%v, server wrote %d bytes", wellFormed, conn.written)
+		}
 	})
+}
+
+// firstRequestWellFormed parses the first request frame independently
+// of the server: a uvarint name length within maxNameFrame, the whole
+// name, and a flag byte with no unknown bits.
+func firstRequestWellFormed(data []byte) bool {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > maxNameFrame || uint64(len(data)-k) <= n {
+		return false
+	}
+	return data[k+int(n)]&^flagCompress == 0
 }
 
 // FuzzSnappyUnitReader decodes arbitrary bytes as a compressed body

@@ -138,6 +138,31 @@ func (s *Server) replayJournal() error {
 		if err := os.Truncate(s.cfg.JournalPath, validEnd); err != nil {
 			return fmt.Errorf("serve: repairing torn journal %s: %w", s.cfg.JournalPath, err)
 		}
+		return nil
+	}
+	// validEnd counts a newline after every line, so it passes the file
+	// size when the crash kept the last entry whole but lost its newline.
+	// Restore it, or the next append would share that entry's line.
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if validEnd > st.Size() {
+		if err := appendNewline(s.cfg.JournalPath); err != nil {
+			return fmt.Errorf("serve: repairing journal %s: %w", s.cfg.JournalPath, err)
+		}
 	}
 	return nil
+}
+
+func appendNewline(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write([]byte{'\n'}); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

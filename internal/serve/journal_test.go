@@ -43,60 +43,67 @@ func journalLines(t *testing.T, path string) []map[string]any {
 	return out
 }
 
-// TestServeJournalTornFinalLine covers the crash-mid-append case: the
-// journal ends in a torn (half-written) line. Startup must tolerate it
-// — log, truncate the tail, replay the valid prefix — re-queue the job
-// caught mid-run, and run it to success; the repaired file must parse
-// line by line and a reopened server must see the terminal record.
+// TestServeJournalTornFinalLine covers the crash-mid-append cases: the
+// journal ends in a torn (half-written) line, or in a whole entry that
+// lost its newline. Startup must tolerate both — log and truncate a torn
+// tail, restore a lost newline, replay the valid prefix — re-queue the
+// job caught mid-run, and run it to success; the repaired file must
+// parse line by line and a reopened server must see the terminal record.
 func TestServeJournalTornFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	ref := wcRef(t, 21)
+	intact := fmt.Sprintf(`{"op":"submit","job":{"id":0,"tenant":"t","name":%q,"spec":%s,"state":"queued"}}
+{"op":"state","id":0,"state":"running"}`, ref.Name, ref.Spec)
+	for name, crash := range map[string]string{
+		"torn":         intact + "\n" + `{"op":"state","id":0,"sta`, // torn mid-append, no newline
+		"lost-newline": intact,                                      // whole entry, newline lost
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(path, []byte(crash), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	crash := fmt.Sprintf(`{"op":"submit","job":{"id":0,"tenant":"t","name":%q,"spec":%s,"state":"queued"}}
-{"op":"state","id":0,"state":"running"}
-{"op":"state","id":0,"sta`, ref.Name, ref.Spec) // torn mid-append, no newline
-	if err := os.WriteFile(path, []byte(crash), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			srv, err := serve.New(serve.Config{Fleet: slowHeartbeats, JournalPath: path})
+			if err != nil {
+				t.Fatalf("New on a torn journal: %v", err)
+			}
 
-	srv, err := serve.New(serve.Config{Fleet: slowHeartbeats, JournalPath: path})
-	if err != nil {
-		t.Fatalf("New on a torn journal: %v", err)
-	}
+			// The torn tail is gone: every surviving line parses.
+			lines := journalLines(t, path)
+			if len(lines) < 2 {
+				t.Fatalf("repaired journal has %d lines, want the 2 intact ones (plus converge entries)", len(lines))
+			}
 
-	// The torn tail is gone: every surviving line parses.
-	lines := journalLines(t, path)
-	if len(lines) < 2 {
-		t.Fatalf("repaired journal has %d lines, want the 2 intact ones (plus converge entries)", len(lines))
-	}
+			// The mid-run job was re-queued, not failed.
+			rec, err := srv.Get(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.State != serve.StateQueued && rec.State != serve.StateRunning {
+				t.Fatalf("replayed job 0 is %s, want queued/running (re-queued)", rec.State)
+			}
 
-	// The mid-run job was re-queued, not failed.
-	rec, err := srv.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != serve.StateQueued && rec.State != serve.StateRunning {
-		t.Fatalf("replayed job 0 is %s, want queued/running (re-queued)", rec.State)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			serveWorkers(t, ctx, srv, 1, 2)
+			if rec, err = srv.Wait(ctx, 0); err != nil || rec.State != serve.StateSucceeded {
+				t.Fatalf("job 0 after torn-journal restart: %v state %s, want succeeded", err, rec.State)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serveWorkers(t, ctx, srv, 1, 2)
-	if rec, err = srv.Wait(ctx, 0); err != nil || rec.State != serve.StateSucceeded {
-		t.Fatalf("job 0 after torn-journal restart: %v state %s, want succeeded", err, rec.State)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the terminal record replays cleanly from the repaired file.
-	srv2, err := serve.New(serve.Config{Fleet: slowHeartbeats, JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	if rec, err = srv2.Get(0); err != nil || rec.State != serve.StateSucceeded {
-		t.Fatalf("reopened job 0: %v state %s, want succeeded", err, rec.State)
+			// Reopen: the terminal record replays cleanly from the
+			// repaired file.
+			srv2, err := serve.New(serve.Config{Fleet: slowHeartbeats, JournalPath: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			if rec, err = srv2.Get(0); err != nil || rec.State != serve.StateSucceeded {
+				t.Fatalf("reopened job 0: %v state %s, want succeeded", err, rec.State)
+			}
+		})
 	}
 }
 
