@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck race verify stress bench bench-all test-short test-cluster test-chaos smoke-service smoke-pipeline
+.PHONY: build test vet staticcheck race perfbench-check verify stress bench bench-all test-short test-cluster test-chaos smoke-service smoke-pipeline
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,15 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-verify: build vet staticcheck race
+# perfbench/ is a separate module (it runs BENCHMARK.json), so `go
+# build ./...` never compiles it: vet and self-test it here, so a change
+# to an API it imports cannot pass unnoticed. Offline, like perfbench/run.sh.
+PERFBENCH_ENV = GOWORK=off GOFLAGS=-mod=mod GOPROXY=off
+
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet . && $(PERFBENCH_ENV) $(GO) test .
+
+verify: build vet staticcheck race perfbench-check
 
 # Flake hunt: the packages that run sockets, worker subprocesses and
 # fault injection, twenty times each under the race detector. A flaky
@@ -60,7 +68,8 @@ test-short:
 test-cluster:
 	$(GO) test -race -timeout 600s ./internal/cluster/
 
-# Chaos soak: seeded deterministic fault injection over both engines.
+# Chaos soak: seeded deterministic fault injection over the in-process
+# engine and the cluster runtime.
 # A failure prints its seed; replay one with
 # `go test ./internal/chaos/ -run Soak -chaos-seed N`.
 test-chaos:

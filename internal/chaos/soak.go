@@ -209,7 +209,7 @@ func SoakInProcess(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, 
 }
 
 // SoakCluster runs one seeded soak on the multi-process runtime shape:
-// a coordinator and three in-process workers over real sockets, with
+// a fleet and three in-process workers over real sockets, with
 // chaos on every worker's filesystem and data-plane listener, plus at
 // most one scheduled worker crash and any number of stragglers.
 func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, error) {
@@ -234,15 +234,14 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 	// Fast heartbeats find scheduled crashes quickly; the wide miss
 	// budget keeps slow-but-alive workers (race detector, loaded CI)
 	// from being declared dead spuriously.
-	coord, err := cluster.New(cluster.Config{
-		Job: ref, MinWorkers: nWorkers, MaxTaskAttempts: 8,
+	fleet, err := cluster.NewFleet(cluster.FleetConfig{
 		HeartbeatEvery: 25 * time.Millisecond, HeartbeatMiss: 20,
 		Tracer: tracer,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer coord.Close()
+	defer fleet.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -278,7 +277,7 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 			time.AfterFunc(plans[i].CrashAfter, wcancel)
 		}
 		opts := cluster.WorkerOptions{
-			Coordinator:     coord.Addr(),
+			Coordinator:     fleet.Addr(),
 			Slots:           2,
 			FS:              trackers[i],
 			WrapListener:    s.WrapListener,
@@ -287,9 +286,18 @@ func SoakCluster(seed uint64, prof Profile, tracer *obs.Tracer) (*SoakReport, er
 		go func() { workerErr <- cluster.RunWorker(wctx, opts) }()
 	}
 
-	res, err := coord.Run(ctx)
+	if err := fleet.WaitWorkers(ctx, nWorkers); err != nil {
+		return nil, soakErr(s, "chaos: workers did not register: %v", err)
+	}
+	h, err := fleet.Submit(ctx, cluster.JobSpec{Ref: ref, MaxTaskAttempts: 8, Exclusive: true})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait(ctx)
+	// Job over (either way): release the workers before waiting on them.
+	fleet.Shutdown()
 	for i := 0; i < nWorkers; i++ {
-		<-workerErr // workers exit on shutdown, crash, or coordinator close
+		<-workerErr // workers exit on shutdown, crash, or fleet close
 	}
 	if err != nil {
 		return nil, soakErr(s, "chaos: cluster job failed under injected faults: %v", err)

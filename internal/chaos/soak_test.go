@@ -134,20 +134,19 @@ func TestClusterCorruptionRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, err := cluster.New(cluster.Config{
-		Job: ref, MinWorkers: 3, MaxTaskAttempts: 8,
+	fleet, err := cluster.NewFleet(cluster.FleetConfig{
 		HeartbeatEvery: 25 * time.Millisecond, HeartbeatMiss: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
+	defer fleet.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	workerErr := make(chan error, 3)
 	for i := 0; i < 3; i++ {
-		opts := cluster.WorkerOptions{Coordinator: coord.Addr(), Slots: 2}
+		opts := cluster.WorkerOptions{Coordinator: fleet.Addr(), Slots: 2}
 		if i == 0 {
 			// Worker 0 serves corrupted segment payloads, always.
 			opts.WrapListener = flipBitsListener
@@ -155,7 +154,15 @@ func TestClusterCorruptionRecovery(t *testing.T) {
 		go func() { workerErr <- cluster.RunWorker(ctx, opts) }()
 	}
 
-	res, err := coord.Run(ctx)
+	if err := fleet.WaitWorkers(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	h, err := fleet.Submit(ctx, cluster.JobSpec{Ref: ref, MaxTaskAttempts: 8, Exclusive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(ctx)
+	fleet.Shutdown()
 	for i := 0; i < 3; i++ {
 		<-workerErr
 	}

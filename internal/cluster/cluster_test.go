@@ -143,7 +143,7 @@ func assertSameOutput(t *testing.T, got, want *mr.Result) {
 	}
 }
 
-// events wires a coordinator's OnEvent to a drop-on-full channel.
+// events wires a fleet's OnEvent to a drop-on-full channel.
 func events() (func(Event), <-chan Event) {
 	ch := make(chan Event, 4096)
 	return func(e Event) {
@@ -178,22 +178,17 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	ref := JobRef{Name: testJobName, Spec: mustSpec(t, testSpec{
 		Splits: 8, Lines: 120, Reducers: 4,
 	})}
-	coord, err := New(Config{Job: ref, MinWorkers: 2, HeartbeatEvery: 25 * time.Millisecond})
+	f, err := NewFleet(FleetConfig{HeartbeatEvery: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
+	defer f.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	workerErr := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: coord.Addr(), Slots: 2})
-		}()
-	}
+	_, workerErr := fleetWorkers(t, ctx, f, 2, 2)
 
-	res, err := coord.Run(ctx)
+	res, err := runExclusive(ctx, f, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,22 +225,39 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsUnknownJob: a coordinator for an unregistered job
-// fails to construct instead of hanging workers.
+// TestClusterRejectsUnknownJob: submitting an unregistered job fails
+// up front instead of hanging workers.
 func TestClusterRejectsUnknownJob(t *testing.T) {
-	if _, err := New(Config{Job: JobRef{Name: "no-such-job"}}); err == nil {
+	f, err := NewFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Submit(context.Background(), JobSpec{Ref: JobRef{Name: "no-such-job"}}); err == nil {
 		t.Fatal("expected unknown-job error")
 	}
+}
+
+// runExclusive runs ref as the fleet's only job, the one-shot shape:
+// submit it exclusively, wait for it, then release the workers.
+func runExclusive(ctx context.Context, f *Fleet, ref JobRef) (*mr.Result, error) {
+	h, err := f.Submit(ctx, JobSpec{Ref: ref, Exclusive: true})
+	if err != nil {
+		return nil, err
+	}
+	res, err := h.Wait(ctx)
+	f.Shutdown()
+	return res, err
 }
 
 // killableCluster spawns n subprocess workers one at a time, waiting
 // for each registration so worker IDs map to processes
 // deterministically (ID i ↔ procs[i]).
-func killableCluster(t *testing.T, coord *Coordinator, ch <-chan Event, n int) []*Process {
+func killableCluster(t *testing.T, f *Fleet, ch <-chan Event, n int) []*Process {
 	t.Helper()
 	procs := make([]*Process, n)
 	for i := 0; i < n; i++ {
-		p, err := SpawnSelf(coord.Addr(), 2)
+		p, err := SpawnSelf(f.Addr(), 2)
 		if err != nil {
 			t.Fatalf("spawning worker: %v", err)
 		}
@@ -276,16 +288,12 @@ func TestWorkerKillMidMap(t *testing.T) {
 		Splits: 12, Lines: 150, Reducers: 4, MapDelayUs: 300,
 	})}
 	onEvent, ch := events()
-	coord, err := New(Config{
-		Job: ref, MinWorkers: 3,
-		HeartbeatEvery: 25 * time.Millisecond,
-		OnEvent:        onEvent,
-	})
+	f, err := NewFleet(FleetConfig{HeartbeatEvery: 25 * time.Millisecond, OnEvent: onEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	procs := killableCluster(t, coord, ch, 3)
+	defer f.Close()
+	procs := killableCluster(t, f, ch, 3)
 
 	done := make(chan struct{})
 	var res *mr.Result
@@ -293,7 +301,7 @@ func TestWorkerKillMidMap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	go func() {
-		res, runErr = coord.Run(ctx)
+		res, runErr = runExclusive(ctx, f, ref)
 		close(done)
 	}()
 
@@ -328,16 +336,12 @@ func TestWorkerKillMidShuffle(t *testing.T) {
 		Splits: 12, Lines: 150, Reducers: 4, MapDelayUs: 300,
 	})}
 	onEvent, ch := events()
-	coord, err := New(Config{
-		Job: ref, MinWorkers: 3,
-		HeartbeatEvery: 25 * time.Millisecond,
-		OnEvent:        onEvent,
-	})
+	f, err := NewFleet(FleetConfig{HeartbeatEvery: 25 * time.Millisecond, OnEvent: onEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	procs := killableCluster(t, coord, ch, 3)
+	defer f.Close()
+	procs := killableCluster(t, f, ch, 3)
 
 	done := make(chan struct{})
 	var res *mr.Result
@@ -345,7 +349,7 @@ func TestWorkerKillMidShuffle(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	go func() {
-		res, runErr = coord.Run(ctx)
+		res, runErr = runExclusive(ctx, f, ref)
 		close(done)
 	}()
 

@@ -130,8 +130,7 @@ type pendingLease struct {
 }
 
 // Fleet owns one pool of worker processes and runs many jobs over it
-// concurrently. It is the shared half of the old single-job
-// coordinator: worker registry, heartbeats, lease dispatch (now with
+// concurrently: worker registry, heartbeats, lease dispatch (with
 // per-tenant weighted fair share across jobs), segment-server
 // blacklisting, and graceful drain/join. Per-job state — task graph,
 // partition homes, stats, DepLostError recovery — lives in jobRun.

@@ -12,9 +12,9 @@
 // leave gracefully (drain: finish in-flight attempts, deregister) and
 // join at any time, so the fleet resizes under load.
 //
-// The single-job Coordinator API (New/Run) is kept as a thin wrapper —
-// one fleet, one exclusive job — for antibench, the chaos harness, and
-// anything else that wants the classic one-shot shape.
+// A one-shot run (one fleet, one job) is NewFleet, workers joining at
+// Fleet.Addr, WaitWorkers, Submit with JobSpec.Exclusive, Wait, and
+// Shutdown.
 package cluster
 
 import (

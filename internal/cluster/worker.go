@@ -577,11 +577,7 @@ func (w *worker) runFetch(ctx context.Context, wj *workerJob, l TaskLease, rep *
 			cleanup("")
 			return err
 		}
-		var from io.Reader = rc
-		if !wj.job.DisableChecksums {
-			from = mr.NewIntegrityVerifier(rc)
-		}
-		n, err := io.Copy(f, from)
+		n, err := io.Copy(f, mr.NewIntegrityVerifier(rc))
 		if err == nil {
 			if wire, ok := mr.WireBytes(rc); ok {
 				counters.AddExtra(mr.CounterShuffleRawBytes, n)

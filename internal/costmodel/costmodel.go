@@ -114,8 +114,7 @@ func PartitionSkew(flows []int64) (maxBytes, meanBytes int64, ratio float64) {
 // (mr.Result.Timeline), how long shuffle fetches actually ran
 // concurrently with still-executing map tasks. The bottleneck model
 // above *assumes* CPU, disk, and network pipeline against each other;
-// under the pipelined scheduler this turns that assumption into a
-// measurement — a zero overlap (as the barrier engine produces) means
+// this turns that assumption into a measurement — a zero overlap means
 // the shuffle phase serialized behind the map phase and the max() in
 // Estimate is optimistic by up to NetTime.
 func ObservedOverlap(timeline []sched.Attempt) time.Duration {

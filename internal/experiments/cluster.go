@@ -93,10 +93,8 @@ func clusterRun(cfg Config, opts ClusterOptions, name string) (ClusterRun, error
 	}
 
 	events := make(chan cluster.Event, 4096)
-	coord, err := cluster.New(cluster.Config{
-		Job:        ref,
-		MinWorkers: opts.Workers,
-		Tracer:     cfg.Tracer,
+	fleet, err := cluster.NewFleet(cluster.FleetConfig{
+		Tracer: cfg.Tracer,
 		OnEvent: func(e cluster.Event) {
 			select {
 			case events <- e:
@@ -107,7 +105,7 @@ func clusterRun(cfg Config, opts ClusterOptions, name string) (ClusterRun, error
 	if err != nil {
 		return ClusterRun{}, err
 	}
-	defer coord.Close()
+	defer fleet.Close()
 
 	// Spawn workers one at a time, waiting for each registration, so
 	// worker id i is procs[i] and the kill injector knows whom to shoot.
@@ -120,7 +118,7 @@ func clusterRun(cfg Config, opts ClusterOptions, name string) (ClusterRun, error
 		}
 	}()
 	for i := range procs {
-		p, serr := cluster.SpawnSelf(coord.Addr(), opts.SlotsPerWorker)
+		p, serr := cluster.SpawnSelf(fleet.Addr(), opts.SlotsPerWorker)
 		if serr != nil {
 			return ClusterRun{}, fmt.Errorf("spawning worker: %w", serr)
 		}
@@ -151,7 +149,16 @@ func clusterRun(cfg Config, opts ClusterOptions, name string) (ClusterRun, error
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	clusterRes, err := coord.Run(ctx)
+	if err := fleet.WaitWorkers(ctx, opts.Workers); err != nil {
+		return ClusterRun{}, err
+	}
+	h, err := fleet.Submit(ctx, cluster.JobSpec{Ref: ref, Exclusive: true})
+	if err != nil {
+		return ClusterRun{}, err
+	}
+	clusterRes, err := h.Wait(ctx)
+	// Job over (either way): release the workers.
+	fleet.Shutdown()
 	if err != nil {
 		return ClusterRun{}, err
 	}

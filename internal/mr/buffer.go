@@ -248,14 +248,14 @@ func (b *mapBuffer) sortByPartitionKey() []int {
 	return offs
 }
 
-// segmentSink is the write side of one segment file: file → optional
-// CRC32C framing (the outermost on-disk layer) → codec → framed-record
-// writer. It centralizes the layering and the close chain so spill runs
-// and merge outputs cannot drift apart.
+// segmentSink is the write side of one segment file: file → CRC32C
+// framing (the outermost on-disk layer) → codec → framed-record writer.
+// It centralizes the layering and the close chain so spill runs and
+// merge outputs cannot drift apart.
 type segmentSink struct {
 	f  io.WriteCloser
-	ck *checksumWriter // nil when the job disables checksums
-	cw io.WriteCloser  // codec writer
+	ck *checksumWriter
+	cw io.WriteCloser // codec writer
 	w  *bytesx.Writer
 }
 
@@ -267,19 +267,10 @@ func newSegmentSink(job *Job, fs iokit.FS, name string) (*segmentSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		ck   *checksumWriter
-		base io.Writer = f
-	)
-	if !job.DisableChecksums {
-		ck = newChecksumWriter(job, f)
-		base = ck
-	}
-	cw, err := job.Codec.NewWriter(base)
+	ck := newChecksumWriter(job, f)
+	cw, err := job.Codec.NewWriter(ck)
 	if err != nil {
-		if ck != nil {
-			ck.release()
-		}
+		ck.release()
 		f.Close()
 		removeQuiet(fs, name)
 		return nil, err
@@ -299,10 +290,8 @@ func (s *segmentSink) close(job *Job, err error) (records, rawBytes int64, _ err
 	if cerr := s.cw.Close(); err == nil {
 		err = cerr
 	}
-	if s.ck != nil {
-		if cerr := s.ck.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := s.ck.Close(); err == nil {
+		err = cerr
 	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
@@ -441,35 +430,24 @@ func (b *mapBuffer) finish() ([]segment, error) {
 }
 
 // openSegment opens a segment file for sorted streaming, verifying the
-// CRC32C framing as it reads unless the job disabled checksums — every
-// local merge read re-checks integrity, not just the shuffle fetch.
+// CRC32C framing as it reads — every local merge read re-checks
+// integrity, not just the shuffle fetch.
 func openSegment(job *Job, fs iokit.FS, seg segment) (recordStream, error) {
 	f, err := fs.Open(seg.file)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		ck   *checksumReader
-		base io.Reader = f
-	)
-	if !job.DisableChecksums {
-		ck = newChecksumReader(job, f)
-		base = ck
-	}
-	cr, err := job.Codec.NewReader(base)
+	ck := newChecksumReader(job, f)
+	cr, err := job.Codec.NewReader(ck)
 	if err != nil {
-		if ck != nil {
-			ck.release()
-		}
+		ck.release()
 		f.Close()
 		return nil, err
 	}
 	rd := getRecordReader(job, cr)
 	return &readerStream{r: rd, close: func() error {
 		putRecordReader(job, rd)
-		if ck != nil {
-			ck.release()
-		}
+		ck.release()
 		if err := cr.Close(); err != nil {
 			f.Close()
 			return err

@@ -22,8 +22,6 @@ import (
 // the engine classifies as transient: local reads retry the attempt,
 // and cluster fetches feed the unreachable-source blacklist and the
 // DepLostError re-execution path instead of poisoning reduce output.
-// Job.DisableChecksums turns the framing off for byte-identical A/B
-// baselines against the historical on-disk layout.
 
 // ErrIntegrity marks structurally corrupt segment data: a bad frame
 // length, a checksum mismatch, a truncated frame, or trailing bytes

@@ -12,8 +12,8 @@ import (
 	"repro/internal/iokit"
 )
 
-// checksumTestJob returns a normalized job with default (enabled)
-// checksum settings, for exercising the framing layers directly.
+// checksumTestJob returns a normalized job, for exercising the framing
+// layers directly.
 func checksumTestJob(t *testing.T) *Job {
 	t.Helper()
 	j, err := wordCountJob(false).normalized()
@@ -67,6 +67,26 @@ func TestChecksumRoundTrip(t *testing.T) {
 		if !bytes.Equal(raw, framed) {
 			t.Fatalf("size %d: verifier is not pass-through: %d bytes out, want %d", n, len(raw), len(framed))
 		}
+	}
+
+	// The engine's own path: a segment written through the sink is
+	// framed on disk, and openSegment verifies and recovers every record.
+	mem := iokit.NewMemFS()
+	seg, err := writeTestSegment(j, mem, "seg", 0, 0, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFramedSize(t, mem, seg)
+	st, err := openSegment(j, mem, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drainStreams(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(got) != seg.records {
+		t.Fatalf("verified read returned %d records, want %d", got, seg.records)
 	}
 }
 
@@ -161,56 +181,6 @@ func TestChecksumPassesThroughIOErrors(t *testing.T) {
 	}
 	if errors.Is(err, ErrIntegrity) {
 		t.Fatalf("injected fault misclassified as integrity violation: %v", err)
-	}
-}
-
-// TestDisableChecksumsPreservesRawLayout pins the A/B baseline: with
-// checksums disabled a segment file is the raw framed-record stream —
-// byte-identical to the historical layout — and with them enabled the
-// same records are recovered through the verified path.
-func TestDisableChecksumsPreservesRawLayout(t *testing.T) {
-	job := wordCountJob(false)
-	job.DisableChecksums = true
-	j, err := job.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := iokit.NewMemFS()
-	seg, err := writeTestSegment(j, mem, "seg", 0, 0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := mem.Size("seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != seg.rawBytes {
-		t.Fatalf("raw layout: file is %d bytes, framed records are %d", size, seg.rawBytes)
-	}
-
-	jc := checksumTestJob(t)
-	memc := iokit.NewMemFS()
-	segc, err := writeTestSegment(jc, memc, "seg", 0, 0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizec, err := memc.Size("seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizec <= seg.rawBytes {
-		t.Fatalf("checksummed layout: file is %d bytes, want larger than raw %d", sizec, seg.rawBytes)
-	}
-	st, err := openSegment(jc, memc, segc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := drainStreams(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(n) != segc.records {
-		t.Fatalf("verified read returned %d records, want %d", n, segc.records)
 	}
 }
 

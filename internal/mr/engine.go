@@ -11,16 +11,6 @@ import (
 	"repro/internal/sched"
 )
 
-// Scheduler names for Job.Scheduler.
-const (
-	// SchedulerPipelined is the event-driven scheduler with pipelined
-	// shuffle, retries, and optional speculative execution (the default).
-	SchedulerPipelined = "pipelined"
-	// SchedulerBarrier is the classic two-phase engine: all map tasks,
-	// a hard barrier, then all reduce tasks.
-	SchedulerBarrier = "barrier"
-)
-
 // Task timeline groups, as they appear in Result.Timeline.
 const (
 	TaskGroupMap    = "map"
@@ -41,8 +31,8 @@ type Result struct {
 	ShufflePerPartition []int64
 	// ReduceTaskTimes holds each reduce task's single-threaded duration,
 	// for load-skew analysis (§6.2 discusses LazySH-induced reducer
-	// skew). Under the pipelined scheduler this is the merge+reduce
-	// time; the per-map fetch time is on the Timeline's fetch attempts.
+	// skew). This is the merge+reduce time; the per-map fetch time is
+	// on the Timeline's fetch attempts.
 	ReduceTaskTimes []time.Duration
 	// MapTaskTimes holds each map task's single-threaded duration
 	// (winning attempt), so skew analysis covers both phases.
@@ -80,7 +70,7 @@ type ShuffleMeasurement struct {
 	Dials   int64
 }
 
-// runEnv bundles the per-run state shared by both schedulers.
+// runEnv bundles the per-run state the engine's tasks share.
 type runEnv struct {
 	job       *Job
 	fs        iokit.FS // metered view of job.FS
@@ -91,12 +81,9 @@ type runEnv struct {
 
 // Run executes a MapReduce job over the given input splits and waits
 // for completion — the analogue of submitting a job to a Hadoop
-// cluster. Job.Scheduler picks the engine: the default pipelined
-// scheduler starts each reduce partition's segment fetches as soon as
-// the map tasks feeding it complete, with per-task retries and optional
-// speculative execution; the barrier scheduler runs all map tasks, then
-// all reduce tasks. Both are bounded by Job.Parallelism workers and
-// produce byte-identical output.
+// cluster. Each reduce partition's segment fetches start as soon as the
+// map tasks feeding it complete, with per-task retries and optional
+// speculative execution, all bounded by Job.Parallelism workers.
 func Run(job *Job, splits []Split) (*Result, error) {
 	j, err := job.normalized()
 	if err != nil {
@@ -129,8 +116,7 @@ func Run(job *Job, splits []Split) (*Result, error) {
 		})
 	}
 	jobSpan := j.Tracer.Start(obs.KindJob, j.Name,
-		obs.Str("scheduler", j.Scheduler), obs.Int("splits", int64(len(splits))),
-		obs.Int("reducers", int64(j.NumReduceTasks)))
+		obs.Int("splits", int64(len(splits))), obs.Int("reducers", int64(j.NumReduceTasks)))
 
 	var transport Transport = LocalTransport{}
 	if j.TCPShuffle {
@@ -143,13 +129,7 @@ func Run(job *Job, splits []Split) (*Result, error) {
 	}
 
 	env := &runEnv{job: j, fs: fs, counters: counters, transport: transport, splits: splits}
-	var res *Result
-	switch j.Scheduler {
-	case SchedulerBarrier:
-		res, err = runBarrier(context.Background(), env)
-	default:
-		res, err = runPipelined(context.Background(), env)
-	}
+	res, err := runPipelined(context.Background(), env)
 	if err != nil {
 		jobSpan.End(obs.Str("outcome", "failed"), obs.Str("err", err.Error()))
 		return nil, err
@@ -165,106 +145,6 @@ func Run(job *Job, splits []Split) (*Result, error) {
 		obs.Int("shuffle_bytes", res.Stats.ShuffleBytes),
 		obs.Int("map_output_records", res.Stats.MapOutputRecords))
 	return res, nil
-}
-
-// runBarrier is the classic two-phase engine: a pool of map tasks, a
-// hard barrier, then a pool of reduce tasks. A failed task cancels the
-// phase's context so in-flight siblings stop promptly.
-func runBarrier(ctx context.Context, env *runEnv) (*Result, error) {
-	j := env.job
-	nMap := len(env.splits)
-
-	tl := &timelineLog{tracer: j.Tracer}
-
-	// Map phase.
-	mapSegs := make([][]segment, nMap)
-	mapTimes := make([]time.Duration, nMap)
-	err := runPool(ctx, j.Parallelism, nMap, func(ctx context.Context, i int) error {
-		done := tl.begin(mapTaskName(i), TaskGroupMap)
-		segs, err := runMapTask(ctx, j, env.fs, env.counters, i, 0, env.splits[i])
-		mapTimes[i] = done(err)
-		mapSegs[i] = segs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Group segments by reduce partition and record shuffle flow sizes
-	// before reduce-side merging consumes the files.
-	byPart := make([][]segment, j.NumReduceTasks)
-	for _, segs := range mapSegs {
-		for _, s := range segs {
-			byPart[s.partition] = append(byPart[s.partition], s)
-		}
-	}
-	shufflePer := make([]int64, j.NumReduceTasks)
-	for p, segs := range byPart {
-		for _, s := range segs {
-			size, err := j.FS.Size(s.file)
-			if err != nil {
-				return nil, err
-			}
-			shufflePer[p] += size
-		}
-	}
-
-	// Reduce phase.
-	output := make([][]Record, j.NumReduceTasks)
-	taskTimes := make([]time.Duration, j.NumReduceTasks)
-	err = runPool(ctx, j.Parallelism, j.NumReduceTasks, func(ctx context.Context, p int) error {
-		done := tl.begin(reduceTaskName(p), TaskGroupReduce)
-		recs, err := runReduceTask(ctx, j, env.fs, env.counters, env.transport, p, byPart[p])
-		taskTimes[p] = done(err)
-		output[p] = recs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		Output:              output,
-		ShufflePerPartition: shufflePer,
-		ReduceTaskTimes:     taskTimes,
-		MapTaskTimes:        mapTimes,
-		Timeline:            tl.attempts,
-	}, nil
-}
-
-// timelineLog records per-task attempts for the barrier scheduler so
-// both engines expose the same Result.Timeline shape, mirroring each
-// attempt into the trace sink when one is configured.
-type timelineLog struct {
-	tracer   *obs.Tracer
-	mu       sync.Mutex
-	attempts []sched.Attempt
-}
-
-// begin starts timing one task; the returned func finishes the record
-// and reports the task duration.
-func (t *timelineLog) begin(name, group string) func(err error) time.Duration {
-	start := time.Now()
-	return func(err error) time.Duration {
-		end := time.Now()
-		a := sched.Attempt{
-			Task: name, Group: group,
-			Queued: start, Started: start, Finished: end,
-			Outcome: sched.OutcomeSuccess,
-		}
-		if err != nil {
-			a.Outcome = sched.OutcomeFailed
-			a.Err = err.Error()
-		}
-		if t.tracer != nil {
-			t.tracer.Record(group, name, start, end, obs.Int("attempt", 0),
-				obs.Str("outcome", string(a.Outcome)))
-		}
-		t.mu.Lock()
-		t.attempts = append(t.attempts, a)
-		t.mu.Unlock()
-		return end.Sub(start)
-	}
 }
 
 // runPool runs fn(ctx, 0..n-1) with at most workers goroutines,

@@ -46,12 +46,12 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionParallelPipelined repeats the sweep under the
-// pipelined scheduler with four workers and a retry budget: persistent
-// faults must still surface as errors wrapping the injection (retries
-// re-fail and exhaust the budget) or the run must succeed with correct
-// output — never a panic, deadlock, or silent corruption, even with
-// concurrent attempts in flight.
+// TestFaultInjectionParallelPipelined repeats the sweep with four
+// workers and a retry budget: persistent faults must still surface as
+// errors wrapping the injection (retries re-fail and exhaust the
+// budget) or the run must succeed with correct output — never a panic,
+// deadlock, or silent corruption, even with concurrent attempts in
+// flight.
 func TestFaultInjectionParallelPipelined(t *testing.T) {
 	input := lines(
 		strings.Repeat("fault injection words ", 150),
@@ -62,7 +62,6 @@ func TestFaultInjectionParallelPipelined(t *testing.T) {
 	mk := func(fs iokit.FS) *Job {
 		job := jobForFaults(fs)
 		job.Parallelism = 4
-		job.Scheduler = SchedulerPipelined
 		job.MaxTaskAttempts = 3
 		job.RetryBackoff = 1
 		return job

@@ -89,35 +89,20 @@ type Job struct {
 	// shrink, reported by the mr.shuffleWireBytes / mr.shuffleRawBytes
 	// extra counters.
 	WireCompression bool
-	// DisableChecksums turns off the CRC32C segment framing that spill,
-	// merge, and map-output files carry by default (verified on local
-	// merge reads and on shuffle fetches). It exists as the A/B baseline
-	// preserving the historical byte-identical on-disk layout; logical
-	// output is identical either way.
-	DisableChecksums bool
-	// Scheduler selects the execution engine. SchedulerPipelined (the
-	// default) runs the job as an event-driven task graph: each reduce
-	// partition's segment fetches start as soon as the map tasks feeding
-	// it complete, overlapping shuffle with still-running map tasks the
-	// way Hadoop's fetch phase does. SchedulerBarrier is the classic
-	// two-phase engine with a hard barrier between map and reduce. Both
-	// produce byte-identical output.
-	Scheduler string
 	// MaxTaskAttempts caps execution attempts per task (map, fetch,
-	// reduce) under the pipelined scheduler. Attempts beyond the first
-	// are made only for transient errors (injected I/O faults,
-	// connection-level fetch failures), with exponential backoff.
-	// Defaults to 1 (no retries).
+	// reduce). Attempts beyond the first are made only for transient
+	// errors (injected I/O faults, connection-level fetch failures),
+	// with exponential backoff. Defaults to 1 (no retries).
 	MaxTaskAttempts int
 	// RetryBackoff is the delay before a task's first retry, doubling
 	// per subsequent failure. Defaults to 1ms.
 	RetryBackoff time.Duration
 	// Speculative enables speculative re-execution of straggler map
-	// attempts under the pipelined scheduler: when a map attempt runs
-	// well past its siblings' median duration a duplicate attempt is
-	// launched, the first finisher wins, and the loser is cancelled.
-	// Output is unaffected; duplicate attempts do inflate work counters
-	// (map input/output records, spills), as they do on Hadoop.
+	// attempts: when a map attempt runs well past its siblings' median
+	// duration a duplicate attempt is launched, the first finisher wins,
+	// and the loser is cancelled. Output is unaffected; duplicate
+	// attempts do inflate work counters (map input/output records,
+	// spills), as they do on Hadoop.
 	Speculative bool
 	// Tracer, when non-nil, receives typed trace spans from every layer
 	// of the run — job, map/fetch/reduce attempts, combiner passes, and
@@ -143,8 +128,9 @@ type Job struct {
 	// claim is enforced, not trusted: a map emission routed off the
 	// diagonal fails the task with ErrMisaligned.
 	AlignedInput bool
-	// CollectOutput controls whether reduce output records are gathered
-	// into Result.Output. Defaults to true; large jobs can disable it.
+	// DiscardOutput drops reduce output records instead of gathering
+	// them into Result.Output, which is then empty; counters still see
+	// every record. Large jobs set it to keep output out of memory.
 	DiscardOutput bool
 
 	// rawKeyOrder is set by normalized when KeyCompare was left nil: the
@@ -201,13 +187,6 @@ func (j *Job) normalized() (*Job, error) {
 	}
 	if c.SpillParallelism <= 0 {
 		c.SpillParallelism = runtime.GOMAXPROCS(0)
-	}
-	switch c.Scheduler {
-	case "":
-		c.Scheduler = SchedulerPipelined
-	case SchedulerPipelined, SchedulerBarrier:
-	default:
-		return nil, fmt.Errorf("%w: unknown scheduler %q", errJob, c.Scheduler)
 	}
 	if c.MaxTaskAttempts <= 0 {
 		c.MaxTaskAttempts = 1

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -54,12 +55,13 @@ func assertSameRun(t *testing.T, aName string, a *Result, bName string, b *Resul
 	}
 }
 
-// TestMapPathEquivalence is the A/B harness for the map-path overhaul:
-// across codecs, transports, spill pressure, and combiner settings, the
-// historical sequential/unpooled configuration (SpillParallelism=1,
-// DisablePooling) and the new default (bucketed sort, pooled buffers,
-// parallel spill/merge) must produce byte-identical sorted output and
-// identical logical counters.
+// TestMapPathEquivalence is the A/B harness for the map path and the
+// scheduler: across codecs, transports, spill pressure, and combiner
+// settings, the sequential configuration (one task at a time,
+// SpillParallelism=1, DisablePooling) and the default (four concurrent
+// tasks, bucketed sort, pooled buffers, parallel spill/merge) must
+// produce byte-identical sorted output and identical logical counters,
+// so neither depends on task scheduling.
 func TestMapPathEquivalence(t *testing.T) {
 	input := mapPathInput()
 	for _, cc := range []struct {
@@ -78,7 +80,9 @@ func TestMapPathEquivalence(t *testing.T) {
 							if tinyBuf {
 								job.SortBufferBytes = 1 << 10
 							}
+							job.Parallelism = 4
 							if sequential {
+								job.Parallelism = 1
 								job.SpillParallelism = 1
 								job.DisablePooling = true
 							}
@@ -199,20 +203,18 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 	fs := iokit.Metered(mem, meter)
 	job := wordCountJob(false)
 	job.MergeFactor = 3
-	// Checksum framing off: the simulation below assumes an
-	// intermediate's file size is exactly the sum of its inputs, which
-	// only holds for the raw identity-codec layout.
-	job.DisableChecksums = true
 	j, err := job.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Seven segments, biggest first, with one shared key range so the
-	// merged output interleaves. Identity codec: file size == framed
-	// bytes, and an intermediate's size is exactly the sum of its inputs.
+	// merged output interleaves. Identity codec: an intermediate's raw
+	// bytes are exactly the sum of its inputs', and each file is those
+	// raw bytes plus the checksum framing.
 	recCounts := []int{100, 80, 60, 1, 1, 1, 1}
 	segs := make([]segment, len(recCounts))
+	raws := make([]int64, len(segs))
 	var wantRecords int64
 	for i, n := range recCounts {
 		name := fmt.Sprintf("seg%02d", i)
@@ -220,19 +222,15 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertFramedSize(t, fs, seg)
 		segs[i] = seg
+		raws[i] = seg.rawBytes
 		wantRecords += int64(n)
 	}
-	sizes := make([]int64, len(segs))
-	for i, s := range segs {
-		if sizes[i], err = fs.Size(s.file); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	// Simulate both batching policies over the real file sizes.
-	firstK := simulateMergeReads(sizes, j.MergeFactor, false)
-	smallest := simulateMergeReads(sizes, j.MergeFactor, true)
+	// Simulate both batching policies over the real raw sizes.
+	firstK := simulateMergeReads(raws, j.MergeFactor, false)
+	smallest := simulateMergeReads(raws, j.MergeFactor, true)
 	if smallest >= firstK {
 		t.Fatalf("test fixture does not separate policies: smallest-first %d, first-K %d", smallest, firstK)
 	}
@@ -246,6 +244,7 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 	if merged.records != wantRecords {
 		t.Fatalf("merged %d records, want %d", merged.records, wantRecords)
 	}
+	assertFramedSize(t, mem, merged)
 	if got := meter.ReadBytes(); got != smallest {
 		t.Errorf("merge read %d bytes, want smallest-first total %d (first-K would read %d)",
 			got, smallest, firstK)
@@ -266,10 +265,36 @@ func TestMultiPassMergeSmallestFirst(t *testing.T) {
 	}
 }
 
+// framedSize is the on-disk size of raw payload bytes under the CRC32C
+// segment framing: per block of up to checksumBlockSize bytes a
+// uvarint(len+1) length and a 4-byte CRC, then one terminator byte.
+func framedSize(raw int64) int64 {
+	size := raw + 1
+	for left := raw; left > 0; left -= checksumBlockSize {
+		n := min(left, checksumBlockSize)
+		size += int64(len(binary.AppendUvarint(nil, uint64(n)+1))) + 4
+	}
+	return size
+}
+
+// assertFramedSize checks a segment's file is exactly its raw bytes
+// under the checksum framing (identity codec), which is what lets
+// simulateMergeReads price reads from raw sizes alone.
+func assertFramedSize(t *testing.T, fs iokit.FS, seg segment) {
+	t.Helper()
+	size, err := fs.Size(seg.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := framedSize(seg.rawBytes); size != want {
+		t.Fatalf("%s is %d bytes, want framedSize(%d) = %d", seg.file, size, seg.rawBytes, want)
+	}
+}
+
 // writeTestSegment writes n framed records with segment-unique keys and
 // returns its segment descriptor. It goes through the real segment sink
-// so the file carries whatever layering (checksums, codec) the job is
-// configured with.
+// so the file carries the real on-disk layering (checksum framing, the
+// job's codec).
 func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) (segment, error) {
 	sink, err := newSegmentSink(job, fs, name)
 	if err != nil {
@@ -292,11 +317,12 @@ func writeTestSegment(job *Job, fs iokit.FS, name string, partition, id, n int) 
 }
 
 // simulateMergeReads predicts the total bytes a multi-pass merge reads
-// from disk given segment sizes, the merge factor, and the batching
-// policy (first K in order, or smallest K first). With the identity
-// codec an intermediate's size is the sum of its inputs.
-func simulateMergeReads(sizes []int64, factor int, smallestFirst bool) int64 {
-	segs := append([]int64(nil), sizes...)
+// from disk given segment raw sizes, the merge factor, and the batching
+// policy (first K in order, or smallest K first), charging each read at
+// its framed size. With the identity codec an intermediate's raw size
+// is the sum of its inputs'.
+func simulateMergeReads(raws []int64, factor int, smallestFirst bool) int64 {
+	segs := append([]int64(nil), raws...)
 	var read int64
 	for len(segs) > factor {
 		if smallestFirst {
@@ -309,12 +335,12 @@ func simulateMergeReads(sizes []int64, factor int, smallestFirst bool) int64 {
 		var inter int64
 		for _, s := range segs[:factor] {
 			inter += s
+			read += framedSize(s)
 		}
-		read += inter
 		segs = append(segs[factor:], inter)
 	}
 	for _, s := range segs {
-		read += s
+		read += framedSize(s)
 	}
 	return read
 }

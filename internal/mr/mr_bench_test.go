@@ -37,9 +37,8 @@ func BenchmarkWordCountPipeline(b *testing.B) {
 // stallMapper emits word counts like the plain word-count mapper but
 // stalls briefly on each input record, modelling a map task whose input
 // arrives over a network or a loaded disk. Latency-bound map tasks are
-// where scheduling policy shows: the barrier engine leaves the shuffle
-// idle during the stalls, while the pipelined scheduler fetches
-// finished maps' segments in that window.
+// where scheduling shows: the engine fetches finished maps' segments
+// while the stalled maps still run.
 type stallMapper struct {
 	MapperBase
 	stall time.Duration
@@ -55,10 +54,9 @@ func (m *stallMapper) Map(key, value []byte, out Emitter) error {
 	return nil
 }
 
-// BenchmarkScheduler compares the barrier and pipelined engines on the
-// same word-count job: 8 splits (one 4x straggler), 4 workers, TCP
-// shuffle, latency-bound maps. Pipelined wall time should be at or
-// below barrier — shuffle fetches of completed maps run during the
+// BenchmarkScheduler runs a word-count job shaped to reward pipelined
+// shuffle: 8 splits (one 4x straggler), 4 workers, TCP shuffle,
+// latency-bound maps, so fetches of completed maps run during the
 // straggler's tail instead of after it.
 func BenchmarkScheduler(b *testing.B) {
 	var sb strings.Builder
@@ -78,21 +76,16 @@ func BenchmarkScheduler(b *testing.B) {
 		}
 		splits = append(splits, &MemSplit{Recs: recs})
 	}
-	for _, scheduler := range []string{SchedulerBarrier, SchedulerPipelined} {
-		b.Run(scheduler, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				job := wordCountJob(true)
-				job.NewMapper = func() Mapper { return &stallMapper{stall: time.Millisecond} }
-				job.Scheduler = scheduler
-				job.Parallelism = 4
-				job.TCPShuffle = true
-				job.DiscardOutput = true
-				if _, err := Run(job, splits); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		job := wordCountJob(true)
+		job.NewMapper = func() Mapper { return &stallMapper{stall: time.Millisecond} }
+		job.Parallelism = 4
+		job.TCPShuffle = true
+		job.DiscardOutput = true
+		if _, err := Run(job, splits); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -16,10 +16,6 @@ func MapTaskName(i int) string      { return fmt.Sprintf("map/%d", i) }
 func FetchTaskName(p, i int) string { return fmt.Sprintf("fetch/%d/%d", p, i) }
 func ReduceTaskName(p int) string   { return fmt.Sprintf("reduce/%d", p) }
 
-func mapTaskName(i int) string      { return MapTaskName(i) }
-func fetchTaskName(p, i int) string { return FetchTaskName(p, i) }
-func reduceTaskName(p int) string   { return ReduceTaskName(p) }
-
 // mapOut is a map task's committed value.
 type mapOut struct {
 	segs []segment
@@ -50,7 +46,7 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 	for i := 0; i < nMap; i++ {
 		i := i
 		tasks = append(tasks, sched.Task{
-			Name:         mapTaskName(i),
+			Name:         MapTaskName(i),
 			Group:        TaskGroupMap,
 			Speculatable: j.Speculative,
 			Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
@@ -75,14 +71,14 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 			}
 			p, i := p, i
 			tasks = append(tasks, sched.Task{
-				Name:  fetchTaskName(p, i),
+				Name:  FetchTaskName(p, i),
 				Group: TaskGroupFetch,
-				Deps:  []string{mapTaskName(i)},
+				Deps:  []string{MapTaskName(i)},
 				Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
 					t0 := time.Now()
 					defer func() { env.counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
 					var segs []segment
-					for _, s := range tc.Dep(mapTaskName(i)).(mapOut).segs {
+					for _, s := range tc.Dep(MapTaskName(i)).(mapOut).segs {
 						if s.partition == p {
 							segs = append(segs, s)
 						}
@@ -119,24 +115,25 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 		p := p
 		var deps []string
 		if j.AlignedInput {
-			deps = []string{fetchTaskName(p, p)}
+			deps = []string{FetchTaskName(p, p)}
 		} else {
 			deps = make([]string, nMap)
 			for i := range deps {
-				deps[i] = fetchTaskName(p, i)
+				deps[i] = FetchTaskName(p, i)
 			}
 		}
 		fetchDeps := deps
 		tasks = append(tasks, sched.Task{
-			Name:  reduceTaskName(p),
+			Name:  ReduceTaskName(p),
 			Group: TaskGroupReduce,
 			Deps:  deps,
 			Run: func(ctx context.Context, tc *sched.TaskContext) (any, error) {
 				t0 := time.Now()
 				defer func() { env.counters.reduceTaskNs.Add(time.Since(t0).Nanoseconds()) }()
-				// Assemble segments in map-task order so the k-way merge
-				// sees the same stream order as the barrier engine and
-				// the two produce byte-identical output.
+				// Assemble segments in map-task order: the k-way merge
+				// then sees one stream order whatever order the maps
+				// completed in, whatever retries or parallelism ran,
+				// and the same order as the cluster runtime's reduce.
 				var segs []segment
 				for _, dep := range fetchDeps {
 					segs = append(segs, tc.Dep(dep).([]segment)...)
@@ -163,13 +160,13 @@ func runPipelined(ctx context.Context, env *runEnv) (*Result, error) {
 
 	mapTimes := make([]time.Duration, nMap)
 	for i := 0; i < nMap; i++ {
-		mapTimes[i] = report.Value(mapTaskName(i)).(mapOut).dur
+		mapTimes[i] = report.Value(MapTaskName(i)).(mapOut).dur
 	}
 	output := make([][]Record, nRed)
 	reduceTimes := make([]time.Duration, nRed)
 	for p := 0; p < nRed; p++ {
-		output[p] = report.Value(reduceTaskName(p)).([]Record)
-		reduceTimes[p] = report.TaskDuration(reduceTaskName(p))
+		output[p] = report.Value(ReduceTaskName(p)).([]Record)
+		reduceTimes[p] = report.TaskDuration(ReduceTaskName(p))
 	}
 	flows := make([]int64, nRed)
 	for p := range flows {

@@ -1,86 +1,13 @@
 package mr
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/iokit"
 	"repro/internal/sched"
 )
-
-// TestSchedulerEquivalence is the A/B harness for the pipelined
-// scheduler: across codecs, transports, spill pressure, and
-// parallelism, the barrier and pipelined engines must produce
-// byte-identical sorted output and identical logical counters.
-func TestSchedulerEquivalence(t *testing.T) {
-	input := lines(
-		strings.Repeat("alpha beta gamma delta epsilon ", 120),
-		strings.Repeat("beta beta zeta eta theta ", 150),
-		strings.Repeat("gamma iota kappa alpha ", 90),
-		strings.Repeat("lambda mu nu xi omicron pi ", 110),
-		strings.Repeat("alpha omega ", 200),
-	)
-	for _, cc := range []struct {
-		name string
-		c    codec.Codec
-	}{{"identity", nil}, {"snappy", codec.Snappy{}}} {
-		for _, tcp := range []bool{false, true} {
-			for _, tinyBuf := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%s/tcp=%v/tiny=%v/par=%d", cc.name, tcp, tinyBuf, par)
-					t.Run(name, func(t *testing.T) {
-						mk := func(scheduler string) *Job {
-							job := wordCountJob(true)
-							job.Scheduler = scheduler
-							job.Codec = cc.c
-							job.TCPShuffle = tcp
-							job.Parallelism = par
-							if tinyBuf {
-								job.SortBufferBytes = 1 << 10
-							}
-							return job
-						}
-						barrier, err := Run(mk(SchedulerBarrier), input)
-						if err != nil {
-							t.Fatalf("barrier: %v", err)
-						}
-						pipelined, err := Run(mk(SchedulerPipelined), input)
-						if err != nil {
-							t.Fatalf("pipelined: %v", err)
-						}
-						b, p := barrier.SortedOutput(), pipelined.SortedOutput()
-						if len(b) != len(p) {
-							t.Fatalf("output length differs: barrier %d, pipelined %d", len(b), len(p))
-						}
-						for i := range b {
-							if !bytes.Equal(b[i].Key, p[i].Key) || !bytes.Equal(b[i].Value, p[i].Value) {
-								t.Fatalf("record %d differs: barrier %q=%q, pipelined %q=%q",
-									i, b[i].Key, b[i].Value, p[i].Key, p[i].Value)
-							}
-						}
-						bs, ps := barrier.Stats, pipelined.Stats
-						if bs.MapInputRecords != ps.MapInputRecords ||
-							bs.MapOutputBytes != ps.MapOutputBytes ||
-							bs.ShuffleBytes != ps.ShuffleBytes ||
-							bs.ReduceInputRecords != ps.ReduceInputRecords {
-							t.Errorf("logical counters differ:\nbarrier:   in=%d mapout=%d shuffle=%d redin=%d\npipelined: in=%d mapout=%d shuffle=%d redin=%d",
-								bs.MapInputRecords, bs.MapOutputBytes, bs.ShuffleBytes, bs.ReduceInputRecords,
-								ps.MapInputRecords, ps.MapOutputBytes, ps.ShuffleBytes, ps.ReduceInputRecords)
-						}
-						if fmt.Sprint(barrier.ShufflePerPartition) != fmt.Sprint(pipelined.ShufflePerPartition) {
-							t.Errorf("per-partition flows differ: %v vs %v",
-								barrier.ShufflePerPartition, pipelined.ShufflePerPartition)
-						}
-					})
-				}
-			}
-		}
-	}
-}
 
 // staggeredMapper sleeps an amount proportional to its task ID before
 // emitting, creating deliberate map-phase stragglers.
@@ -228,33 +155,32 @@ func TestSpeculativeExecution(t *testing.T) {
 }
 
 // TestRetryRecoversTransientFault is the acceptance scenario: a
-// transient injected fault kills the job under the barrier engine (no
-// retries), while the pipelined scheduler with an attempt budget
-// retries the failed task and completes with correct output.
+// transient injected fault kills the job when it has a single attempt,
+// while an attempt budget retries the failed task and completes with
+// correct output.
 func TestRetryRecoversTransientFault(t *testing.T) {
 	input := lines(strings.Repeat("retry recovers faults ", 300))
 	want := outputMap(t, mustRun(t, jobForFaults(nil), input))
 
-	mk := func(scheduler string, attempts int) *Job {
+	mk := func(attempts int) *Job {
 		job := jobForFaults(&iokit.FlakyFS{
 			Inner:       iokit.NewMemFS(),
 			FailWriteAt: 5, // hit an early spill write
 			FailOnce:    true,
 		})
-		job.Scheduler = scheduler
 		job.MaxTaskAttempts = attempts
 		return job
 	}
 
-	// Barrier engine, single attempt: the glitch is fatal.
-	if _, err := Run(mk(SchedulerBarrier, 1), input); err == nil {
-		t.Fatal("barrier engine should fail on the injected fault")
+	// A single attempt: the glitch is fatal.
+	if _, err := Run(mk(1), input); err == nil {
+		t.Fatal("a single-attempt job should fail on the injected fault")
 	}
 
-	// Pipelined scheduler with retries: the task re-runs and succeeds.
-	res, err := Run(mk(SchedulerPipelined, 3), input)
+	// With retries the task re-runs and succeeds.
+	res, err := Run(mk(3), input)
 	if err != nil {
-		t.Fatalf("pipelined with retries should recover: %v", err)
+		t.Fatalf("a job with retries should recover: %v", err)
 	}
 	got := outputMap(t, res)
 	for k, v := range want {
@@ -280,15 +206,6 @@ func mustRun(t *testing.T, job *Job, splits []Split) *Result {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// TestUnknownSchedulerRejected: Job.Scheduler must name a known engine.
-func TestUnknownSchedulerRejected(t *testing.T) {
-	job := wordCountJob(false)
-	job.Scheduler = "bogus"
-	if _, err := Run(job, lines("a b c")); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("unknown scheduler: err = %v", err)
-	}
 }
 
 // TestTimelineShape: every map, fetch, and reduce task appears in the
@@ -319,28 +236,6 @@ func TestTimelineShape(t *testing.T) {
 		if d < 0 {
 			t.Errorf("MapTaskTimes[%d] = %v", i, d)
 		}
-	}
-}
-
-// TestBarrierTimeline: the fallback engine also records a timeline (no
-// fetch group — its shuffle rides inside the reduce tasks).
-func TestBarrierTimeline(t *testing.T) {
-	job := wordCountJob(true)
-	job.Scheduler = SchedulerBarrier
-	res := mustRun(t, job, lines("a b", "b c"))
-	counts := map[string]int{}
-	for _, a := range res.Timeline {
-		counts[a.Group]++
-	}
-	if counts[TaskGroupMap] != 2 || counts[TaskGroupReduce] != job.NumReduceTasks {
-		t.Errorf("barrier timeline groups = %v", counts)
-	}
-	if len(res.MapTaskTimes) != 2 {
-		t.Errorf("MapTaskTimes = %v", res.MapTaskTimes)
-	}
-	// The barrier engine never overlaps map and reduce.
-	if ov := sched.Overlap(res.Timeline, TaskGroupMap, TaskGroupReduce); ov > 0 {
-		t.Errorf("barrier map/reduce overlap = %v, want 0", ov)
 	}
 }
 

@@ -178,33 +178,6 @@ func accountShuffle(counters *Counters, fs iokit.FS, segs []segment) error {
 	return nil
 }
 
-// runReduceTask executes one reduce task under the barrier scheduler:
-// meter the shuffle, fetch the partition's segments from every map task
-// over the transport, merge them in key order, and invoke Reduce per
-// key group. (The pipelined scheduler splits this into per-map fetch
-// tasks plus a reduceMerge task; see pipelined.go.)
-func runReduceTask(ctx context.Context, job *Job, fs iokit.FS, counters *Counters, transport Transport, partition int, segs []segment) ([]Record, error) {
-	start := time.Now()
-	defer func() { counters.reduceTaskNs.Add(time.Since(start).Nanoseconds()) }()
-
-	if err := accountShuffle(counters, fs, segs); err != nil {
-		return nil, err
-	}
-
-	// A non-local transport first copies each segment to a reducer-local
-	// file through the real network path (Hadoop's fetch phase).
-	if _, local := transport.(LocalTransport); !local {
-		prefix := fmt.Sprintf("%s/r%04d/fetch", job.Workspace, partition)
-		fetched, err := fetchSegments(ctx, fs, transport, job, counters, partition, prefix, segs)
-		if err != nil {
-			return nil, err
-		}
-		segs = fetched
-	}
-
-	return reduceMerge(ctx, job, fs, counters, partition, 0, segs)
-}
-
 // reduceMerge is the compute half of a reduce task: merge the
 // partition's (already local) sorted segments and invoke Reduce once
 // per key group. attempt scopes intermediate file names so scheduler
@@ -321,12 +294,11 @@ func reduceMerge(ctx context.Context, job *Job, fs iokit.FS, counters *Counters,
 // fetchSegments copies remote segments to reducer-local files over the
 // transport, returning local replacements. Local file names are derived
 // from prefix, which callers scope per (partition, map task, attempt).
-// Unless the job disables checksums, the byte stream is CRC-verified in
-// flight (pass-through, so the local copy stays framed): a corrupted or
-// truncated transfer fails the fetch with ErrIntegrity — a transient,
-// retryable fault — instead of landing bad bytes for the merge to trip
-// on. A failed fetch removes every local file the attempt created, so
-// no partial attempt orphans files.
+// The byte stream is CRC-verified in flight (pass-through, so the local
+// copy stays framed): a corrupted or truncated transfer fails the fetch
+// with ErrIntegrity — a transient, retryable fault — instead of landing
+// bad bytes for the merge to trip on. A failed fetch removes every
+// local file the attempt created, so no partial attempt orphans files.
 func fetchSegments(ctx context.Context, fs iokit.FS, transport Transport, job *Job, counters *Counters, partition int, prefix string, segs []segment) ([]segment, error) {
 	local := make([]segment, len(segs))
 	copyBuf := getCopyBuf(job)
@@ -362,11 +334,7 @@ func fetchSegments(ctx context.Context, fs iokit.FS, transport Transport, job *J
 			cleanup(i, name)
 			return nil, err
 		}
-		var src io.Reader = rc
-		if !job.DisableChecksums {
-			src = NewIntegrityVerifier(rc)
-		}
-		n, err := io.CopyBuffer(f, src, copyBuf)
+		n, err := io.CopyBuffer(f, NewIntegrityVerifier(rc), copyBuf)
 		if err == nil {
 			countWireBytes(counters, rc, n)
 		}
