@@ -1,13 +1,127 @@
 package mr
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/iokit"
 	"repro/internal/sched"
 )
+
+// orderedMapper emits (word, task ID) for every word of its input.
+// Tasks with lower IDs first sleep longer, by unit per task, so with
+// several tasks in flight map tasks finish in reverse ID order.
+type orderedMapper struct {
+	MapperBase
+	info  *TaskInfo
+	tasks int
+	unit  time.Duration
+}
+
+func (m *orderedMapper) Setup(info *TaskInfo, out Emitter) error {
+	m.info = info
+	return nil
+}
+
+func (m *orderedMapper) Map(key, value []byte, out Emitter) error {
+	time.Sleep(time.Duration(m.tasks-1-m.info.TaskID) * m.unit)
+	id := []byte(strconv.Itoa(m.info.TaskID))
+	for _, w := range strings.Fields(string(value)) {
+		if err := out.Emit([]byte(w), id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinValues emits each key once with its values joined in the order
+// the merge delivers them, so the output shows the merge stream order.
+var joinValues = NewReduceFunc(func(key []byte, values ValueIter, out Emitter) error {
+	var joined []byte
+	for {
+		v, ok := values.Next()
+		if !ok {
+			break
+		}
+		if joined != nil {
+			joined = append(joined, ',')
+		}
+		joined = append(joined, v...)
+	}
+	return out.Emit(key, joined)
+})
+
+// TestSchedulerEquivalence is the A/B harness for task scheduling:
+// across codecs, transports, spill pressure, and parallelism, a job
+// whose map tasks finish in reverse order must produce byte-identical
+// sorted output, identical logical counters, and identical
+// per-partition flows to the same job run without the delays. The
+// job's output lists each word's map-task IDs in merge order, and the
+// reduce merges committed map output in map-task order, so completion
+// order must not show.
+func TestSchedulerEquivalence(t *testing.T) {
+	input := mapPathInput()
+	for _, cc := range []struct {
+		name string
+		c    codec.Codec
+	}{{"identity", nil}, {"snappy", codec.Snappy{}}} {
+		for _, tcp := range []bool{false, true} {
+			for _, tinyBuf := range []bool{false, true} {
+				for _, par := range []int{1, 4} {
+					name := fmt.Sprintf("%s/tcp=%v/tiny=%v/par=%d", cc.name, tcp, tinyBuf, par)
+					t.Run(name, func(t *testing.T) {
+						mk := func(reordered bool) *Job {
+							unit := time.Duration(0)
+							if reordered {
+								unit = 5 * time.Millisecond
+							}
+							job := wordCountJob(false)
+							job.NewMapper = func() Mapper {
+								return &orderedMapper{tasks: len(input), unit: unit}
+							}
+							job.NewCombiner = joinValues
+							job.NewReducer = joinValues
+							job.Codec = cc.c
+							job.TCPShuffle = tcp
+							job.Parallelism = par
+							if tinyBuf {
+								job.SortBufferBytes = 1 << 10
+							}
+							return job
+						}
+						undelayed := mustRun(t, mk(false), input)
+						reordered := mustRun(t, mk(true), input)
+						if par > 1 && !mapsFinishedOutOfOrder(reordered.Timeline) {
+							t.Fatalf("map tasks finished in ID order; the fixture did not reorder them")
+						}
+						assertSameRun(t, "undelayed", undelayed, "reordered", reordered)
+					})
+				}
+			}
+		}
+	}
+}
+
+// mapsFinishedOutOfOrder reports whether some map task finished before
+// a map task with a lower ID.
+func mapsFinishedOutOfOrder(tl []sched.Attempt) bool {
+	finished := map[string]time.Time{}
+	for _, a := range tl {
+		if a.Group == TaskGroupMap {
+			finished[a.Task] = a.Finished
+		}
+	}
+	for i := 1; i < len(finished); i++ {
+		if finished[MapTaskName(i)].Before(finished[MapTaskName(i-1)]) {
+			return true
+		}
+	}
+	return false
+}
 
 // staggeredMapper sleeps an amount proportional to its task ID before
 // emitting, creating deliberate map-phase stragglers.
