@@ -47,12 +47,15 @@ stress:
 # skew-partitioning benchmarks as BENCH_5.json (hash vs range vs
 # split max/mean partition bytes via custom ReportMetric units), and
 # the shuffle data-plane benchmarks as BENCH_7.json (raw vs sendfile
-# vs compressed throughput with bytes-on-wire per op).
+# vs compressed throughput with bytes-on-wire per op), and the segment
+# byte path's kernels as BENCH_14.json (Snappy compress/decompress on
+# Zipfian text and on sorted map-output lines, MemFS write+read).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMapBufferSpill|BenchmarkMapPathE2E|BenchmarkMergeIter' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_4.json
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewPartition' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_5.json
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineHandoff' -benchmem ./internal/experiments/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_6.json
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleDataPlane' -benchmem ./internal/mr/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_7.json
+	$(GO) test -run '^$$' -bench 'BenchmarkCompressSnappy|BenchmarkDecompressSnappy|BenchmarkMemFSWriteRead' -benchmem ./internal/codec/ ./internal/iokit/ | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_14.json
 
 # Every benchmark in the repository, human-readable.
 bench-all:

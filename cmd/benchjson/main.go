@@ -93,7 +93,13 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			r.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			r.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			// A run over several packages lists each, in run order.
+			pkg := strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if r.Pkg == "" {
+				r.Pkg = pkg
+			} else {
+				r.Pkg += " " + pkg
+			}
 		case strings.HasPrefix(line, "cpu:"):
 			r.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):

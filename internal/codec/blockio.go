@@ -13,16 +13,19 @@ var errBlockCorrupt = errors.New("codec: corrupt block stream")
 // blockWriter frames a stream into independently compressed blocks:
 // uvarint raw length, uvarint compressed length, compressed bytes.
 // It is the shared container for the block codecs (Snappy, BWSC).
+// The raw block, the compressed block and the header are each one
+// buffer reused for the life of the stream.
 type blockWriter struct {
 	w        io.Writer
 	buf      []byte
 	size     int
-	compress func(src []byte) []byte
+	compress func(dst, src []byte) []byte // appends src's encoding to dst
 	closed   bool
+	comp     []byte
 	scratch  []byte
 }
 
-func newBlockWriter(w io.Writer, blockSize int, compress func(src []byte) []byte) *blockWriter {
+func newBlockWriter(w io.Writer, blockSize int, compress func(dst, src []byte) []byte) *blockWriter {
 	return &blockWriter{w: w, size: blockSize, compress: compress}
 }
 
@@ -50,14 +53,14 @@ func (b *blockWriter) flushBlock() error {
 	if len(b.buf) == 0 {
 		return nil
 	}
-	comp := b.compress(b.buf)
+	b.comp = b.compress(b.comp[:0], b.buf)
 	b.scratch = b.scratch[:0]
 	b.scratch = binary.AppendUvarint(b.scratch, uint64(len(b.buf)))
-	b.scratch = binary.AppendUvarint(b.scratch, uint64(len(comp)))
+	b.scratch = binary.AppendUvarint(b.scratch, uint64(len(b.comp)))
 	if _, err := b.w.Write(b.scratch); err != nil {
 		return err
 	}
-	if _, err := b.w.Write(comp); err != nil {
+	if _, err := b.w.Write(b.comp); err != nil {
 		return err
 	}
 	b.buf = b.buf[:0]
@@ -72,11 +75,12 @@ func (b *blockWriter) Close() error {
 	return b.flushBlock()
 }
 
-// blockReader decodes the stream produced by blockWriter.
+// blockReader decodes the stream produced by blockWriter. Every block
+// decodes into the same buffer, which Read copies out of.
 type blockReader struct {
 	r          io.ByteReader
 	raw        io.Reader
-	decompress func(src []byte, rawLen int) ([]byte, error)
+	decompress func(dst, src []byte, rawLen int) ([]byte, error) // decodes into dst's storage
 	block      []byte
 	pos        int
 	comp       []byte
@@ -96,7 +100,7 @@ func (a *byteReaderAdapter) ReadByte() (byte, error) {
 	return a.one[0], nil
 }
 
-func newBlockReader(r io.Reader, decompress func(src []byte, rawLen int) ([]byte, error)) *blockReader {
+func newBlockReader(r io.Reader, decompress func(dst, src []byte, rawLen int) ([]byte, error)) *blockReader {
 	br, ok := r.(interface {
 		io.Reader
 		io.ByteReader
@@ -141,7 +145,7 @@ func (b *blockReader) nextBlock() error {
 	if _, err := io.ReadFull(b.raw, b.comp); err != nil {
 		return errBlockCorrupt
 	}
-	block, err := b.decompress(b.comp, int(rawLen))
+	block, err := b.decompress(b.block[:0], b.comp, int(rawLen))
 	if err != nil {
 		return err
 	}

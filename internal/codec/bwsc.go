@@ -23,12 +23,16 @@ func (BWSC) NewWriter(w io.Writer) (io.WriteCloser, error) {
 	// 256 KiB blocks: more BWT context buys a better ratio at slightly
 	// higher CPU, the direction of bzip2's own -9. The Huffman depth
 	// bound stays well under bwscMaxCodeLen (log_phi(262144) ≈ 26).
-	return newBlockWriter(w, 256<<10, bwscCompress), nil
+	return newBlockWriter(w, 256<<10, func(dst, src []byte) []byte {
+		return append(dst, bwscCompress(src)...)
+	}), nil
 }
 
 // NewReader implements Codec.
 func (BWSC) NewReader(r io.Reader) (io.ReadCloser, error) {
-	return newBlockReader(r, bwscDecompress), nil
+	return newBlockReader(r, func(_, src []byte, rawLen int) ([]byte, error) {
+		return bwscDecompress(src, rawLen)
+	}), nil
 }
 
 // The RLE0 alphabet: runs of MTF zeros are written in bijective base 2

@@ -12,8 +12,7 @@ func benchData() []byte {
 	return zipfText(1 << 20)
 }
 
-func benchCompress(b *testing.B, c Codec) {
-	data := benchData()
+func benchCompress(b *testing.B, c Codec, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,8 +33,7 @@ func benchCompress(b *testing.B, c Codec) {
 	}
 }
 
-func benchDecompress(b *testing.B, c Codec) {
-	data := benchData()
+func benchDecompress(b *testing.B, c Codec, data []byte) {
 	var buf bytes.Buffer
 	w, _ := c.NewWriter(&buf)
 	w.Write(data)
@@ -54,14 +52,23 @@ func benchDecompress(b *testing.B, c Codec) {
 	}
 }
 
-func BenchmarkCompressGzip(b *testing.B)    { benchCompress(b, Gzip{}) }
-func BenchmarkCompressDeflate(b *testing.B) { benchCompress(b, Deflate{}) }
-func BenchmarkCompressSnappy(b *testing.B)  { benchCompress(b, Snappy{}) }
-func BenchmarkCompressBWSC(b *testing.B)    { benchCompress(b, BWSC{}) }
+func BenchmarkCompressGzip(b *testing.B)    { benchCompress(b, Gzip{}, benchData()) }
+func BenchmarkCompressDeflate(b *testing.B) { benchCompress(b, Deflate{}, benchData()) }
+func BenchmarkCompressSnappy(b *testing.B)  { benchCompress(b, Snappy{}, benchData()) }
+func BenchmarkCompressBWSC(b *testing.B)    { benchCompress(b, BWSC{}, benchData()) }
 
-func BenchmarkDecompressGzip(b *testing.B)   { benchDecompress(b, Gzip{}) }
-func BenchmarkDecompressSnappy(b *testing.B) { benchDecompress(b, Snappy{}) }
-func BenchmarkDecompressBWSC(b *testing.B)   { benchDecompress(b, BWSC{}) }
+func BenchmarkDecompressGzip(b *testing.B)   { benchDecompress(b, Gzip{}, benchData()) }
+func BenchmarkDecompressSnappy(b *testing.B) { benchDecompress(b, Snappy{}, benchData()) }
+func BenchmarkDecompressBWSC(b *testing.B)   { benchDecompress(b, BWSC{}, benchData()) }
+
+// The sort job's map-output shape: sorted, length-framed text lines.
+func BenchmarkCompressSnappySortedLines(b *testing.B) {
+	benchCompress(b, Snappy{}, sortedLines(1<<20))
+}
+
+func BenchmarkDecompressSnappySortedLines(b *testing.B) {
+	benchDecompress(b, Snappy{}, sortedLines(1<<20))
+}
 
 func BenchmarkBWTForward(b *testing.B) {
 	data := zipfText(64 << 10)

@@ -2,11 +2,15 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/datagen"
 )
 
 func allCodecs(t *testing.T) []Codec {
@@ -198,11 +202,30 @@ func zipfText(size int) []byte {
 	return []byte(sb.String())
 }
 
+// sortedLines approximates a sort job's map output: RandomText lines
+// (Zipfian words, as the Sort workload reads), sorted, each framed by
+// its uvarint length, so neighbours share prefixes the way sorted
+// spill records do.
+func sortedLines(size int) []byte {
+	text := datagen.NewRandomText(datagen.RandomTextConfig{Seed: 2, Lines: size/60 + 1})
+	lines := make([]string, text.Len())
+	for i := range lines {
+		lines[i] = text.Line(i)
+	}
+	sort.Strings(lines)
+	var out []byte
+	for _, l := range lines {
+		out = binary.AppendUvarint(out, uint64(len(l)))
+		out = append(out, l...)
+	}
+	return out[:size]
+}
+
 func TestSnappyPeriodicCompresses(t *testing.T) {
 	// Overlapping copies must make trivially periodic data tiny: one
 	// literal plus a chain of 64-byte copy elements (~3 bytes per 64).
 	data := bytes.Repeat([]byte("abc"), 1000)
-	comp := snappyCompress(data)
+	comp := snappyAppendBlock(nil, data)
 	if len(comp) > 200 {
 		t.Errorf("snappy on periodic data: %d bytes, want < 200", len(comp))
 	}

@@ -194,13 +194,31 @@ type meteredReader struct {
 func (r *meteredReader) Close() error { return r.c.Close() }
 
 // MemFS is an in-memory FS. The zero value is not usable; call NewMemFS.
+//
+// A file is an immutable list of pages. A writer fills pages that grow
+// geometrically from memPageMin to memPageMax bytes and never copies a
+// page to grow it, so writing n bytes allocates about n bytes however
+// the writes are sized. Close publishes the pages with the file's
+// length; a reader opened afterwards keeps reading that version even if
+// the name is re-created or removed.
 type MemFS struct {
 	mu    sync.Mutex
-	files map[string][]byte
+	files map[string]memData
+}
+
+const (
+	memPageMin = 512
+	memPageMax = 64 << 10
+)
+
+// memData is one published version of a file.
+type memData struct {
+	pages [][]byte
+	size  int64
 }
 
 // NewMemFS returns an empty in-memory filesystem.
-func NewMemFS() *MemFS { return &MemFS{files: make(map[string][]byte)} }
+func NewMemFS() *MemFS { return &MemFS{files: make(map[string]memData)} }
 
 // Create implements FS.
 func (m *MemFS) Create(name string) (io.WriteCloser, error) {
@@ -215,7 +233,7 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return io.NopCloser(&sliceReader{data: data}), nil
+	return io.NopCloser(&pageReader{pages: data.pages}), nil
 }
 
 // Remove implements FS.
@@ -237,7 +255,7 @@ func (m *MemFS) Size(name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return int64(len(data)), nil
+	return data.size, nil
 }
 
 // List implements FS.
@@ -258,7 +276,7 @@ func (m *MemFS) TotalBytes() int64 {
 	defer m.mu.Unlock()
 	var total int64
 	for _, data := range m.files {
-		total += int64(len(data))
+		total += data.size
 	}
 	return total
 }
@@ -266,7 +284,7 @@ func (m *MemFS) TotalBytes() int64 {
 type memFile struct {
 	fs   *MemFS
 	name string
-	buf  []byte
+	data memData
 	done bool
 }
 
@@ -274,8 +292,24 @@ func (f *memFile) Write(p []byte) (int, error) {
 	if f.done {
 		return 0, errors.New("iokit: write after close")
 	}
-	f.buf = append(f.buf, p...)
-	return len(p), nil
+	n := len(p)
+	for len(p) > 0 {
+		last := len(f.data.pages) - 1
+		if last < 0 || len(f.data.pages[last]) == cap(f.data.pages[last]) {
+			size := memPageMin
+			if last >= 0 {
+				size = min(2*cap(f.data.pages[last]), memPageMax)
+			}
+			f.data.pages = append(f.data.pages, make([]byte, 0, size))
+			last++
+		}
+		page := f.data.pages[last]
+		k := min(cap(page)-len(page), len(p))
+		f.data.pages[last] = append(page, p[:k]...)
+		p = p[k:]
+	}
+	f.data.size += int64(n)
+	return n, nil
 }
 
 func (f *memFile) Close() error {
@@ -284,22 +318,31 @@ func (f *memFile) Close() error {
 	}
 	f.done = true
 	f.fs.mu.Lock()
-	f.fs.files[f.name] = f.buf
+	f.fs.files[f.name] = f.data
 	f.fs.mu.Unlock()
 	return nil
 }
 
-type sliceReader struct {
-	data []byte
-	pos  int
+// pageReader reads a published file across its pages. Each Read fills
+// p as far as the file allows, as one contiguous slice would.
+type pageReader struct {
+	pages [][]byte
+	off   int // read offset within pages[0]
 }
 
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
+func (r *pageReader) Read(p []byte) (int, error) {
+	if len(r.pages) == 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, r.data[r.pos:])
-	r.pos += n
+	n := 0
+	for n < len(p) && len(r.pages) > 0 {
+		k := copy(p[n:], r.pages[0][r.off:])
+		n += k
+		r.off += k
+		if r.off == len(r.pages[0]) {
+			r.pages, r.off = r.pages[1:], 0
+		}
+	}
 	return n, nil
 }
 

@@ -1,6 +1,7 @@
 package iokit
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -199,4 +200,107 @@ func TestFlakyFSFailOnce(t *testing.T) {
 		t.Fatalf("read 2 should succeed after transient fault: %v", err)
 	}
 	r.Close()
+}
+
+// TestMemFSPageBoundaries writes sizes around the first page and the
+// largest page and reads them back with odd-sized reads, which must
+// cross page boundaries and still fill each buffer as far as the file
+// allows.
+func TestMemFSPageBoundaries(t *testing.T) {
+	fs := NewMemFS()
+	sizes := []int{1, 511, 512, 65535, 65536, 65537}
+	var want []byte
+	w, _ := fs.Create("f")
+	for i, n := range sizes {
+		chunk := make([]byte, n)
+		for j := range chunk {
+			chunk[j] = byte(i*31 + j*7)
+		}
+		if k, err := w.Write(chunk); err != nil || k != n {
+			t.Fatalf("Write(%d) = %d, %v", n, k, err)
+		}
+		want = append(want, chunk...)
+	}
+	if _, err := fs.Open("f"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("an unclosed file should not be visible: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("x")); err == nil {
+		t.Error("write after close should fail")
+	}
+	if sz, err := fs.Size("f"); err != nil || sz != int64(len(want)) {
+		t.Fatalf("Size = %d, %v; want %d", sz, err, len(want))
+	}
+	if got := fs.TotalBytes(); got != int64(len(want)) {
+		t.Fatalf("TotalBytes = %d, want %d", got, len(want))
+	}
+
+	for _, bufSize := range []int{1, 3, 511, 513, 4097, 65537, 200_001} {
+		r, _ := fs.Open("f")
+		buf := make([]byte, bufSize)
+		var got []byte
+		for {
+			n, err := r.Read(buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rest := len(want) - len(got); n != min(bufSize, rest) {
+				t.Fatalf("buf %d: Read = %d with %d bytes left", bufSize, n, rest)
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("buf %d: read back %d bytes, differing from the %d written", bufSize, len(got), len(want))
+		}
+	}
+
+	// Re-creating the name replaces the file; a reader opened before
+	// keeps the old version.
+	old, _ := fs.Open("f")
+	w2, _ := fs.Create("f")
+	w2.Write([]byte("new"))
+	w2.Close()
+	if data, _ := io.ReadAll(old); !bytes.Equal(data, want) {
+		t.Errorf("reader opened before re-Create read %d bytes, want the old %d", len(data), len(want))
+	}
+	r, _ := fs.Open("f")
+	if data, _ := io.ReadAll(r); string(data) != "new" {
+		t.Errorf("after re-Create read %q", data)
+	}
+	if sz, _ := fs.Size("f"); sz != 3 {
+		t.Errorf("Size after re-Create = %d", sz)
+	}
+	if got := fs.TotalBytes(); got != 3 {
+		t.Errorf("TotalBytes after re-Create = %d", got)
+	}
+}
+
+// BenchmarkMemFSWriteRead writes a 4 MiB file the way the engine's
+// checksum framing does, a 5-byte block header then a 64 KiB block,
+// and reads it back in 32 KiB reads.
+func BenchmarkMemFSWriteRead(b *testing.B) {
+	hdr := []byte{0x81, 0x80, 0x04, 0xde, 0xad}
+	block := bytes.Repeat([]byte("0123456789abcdef"), 4096)
+	const blocks = 64
+	buf := make([]byte, 32<<10)
+	b.SetBytes(blocks * int64(len(hdr)+len(block)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fs := NewMemFS()
+		w, _ := fs.Create("f")
+		for j := 0; j < blocks; j++ {
+			w.Write(hdr)
+			w.Write(block)
+		}
+		w.Close()
+		r, _ := fs.Open("f")
+		if _, err := io.CopyBuffer(io.Discard, struct{ io.Reader }{r}, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -662,9 +662,9 @@ func (p *ConnPool) fetchOnce(ctx context.Context, addr, name string, fresh bool)
 // frame boundary.
 type snappyUnitReader struct {
 	br        *bufio.Reader
-	remaining int64 // raw bytes the stream still owes
-	wire      int64 // framed bytes consumed off the socket
-	block     []byte
+	remaining int64  // raw bytes the stream still owes
+	wire      int64  // framed bytes consumed off the socket
+	block     []byte // the current unit, decoded into the previous unit's storage
 	pos       int
 	err       error
 }
@@ -701,7 +701,7 @@ func (d *snappyUnitReader) fill() error {
 		putFrameBuf(buf)
 		return unexpectedEOF(err)
 	}
-	block, err := codec.DecompressSnappyBlock(buf)
+	block, err := codec.DecompressSnappyBlock(d.block[:0], buf)
 	putFrameBuf(buf)
 	if err != nil {
 		return fmt.Errorf("mr: wire decompression: %w", err)
